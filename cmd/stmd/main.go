@@ -1,6 +1,6 @@
 // stmd serves the transactional KV store over TCP (see internal/server for
 // the wire protocol). It runs until SIGTERM/SIGINT, then drains gracefully:
-// in-flight transactions finish, the worker pool's STM threads are closed
+// in-flight transactions finish, the pooled STM threads are closed
 // (flushing reclaim fronts), and the final reclaim drain is asserted empty.
 //
 //	stmd -addr :7077 -alg pvrStore -workers 8 -maxconns 4096 \
@@ -75,7 +75,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":7077", "listen address")
 		algName     = flag.String("alg", "pvrStore", "STM algorithm (must be privatization-safe)")
-		workers     = flag.Int("workers", 8, "worker-pool size = STM thread count")
+		workers     = flag.Int("workers", 8, "STM thread-pool size = max concurrent transactions; each request borrows a pooled thread")
 		maxConns    = flag.Int("maxconns", 4096, "maximum concurrent connections")
 		deadline    = flag.Duration("deadline", 0, "default per-transaction deadline (0 = none)")
 		readSetCap  = flag.Int("readsetcap", 0, "default read-set cap per transaction (0 = none)")

@@ -11,8 +11,7 @@ import (
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader
-	w    *bufio.Writer
-	buf  []byte // request scratch, reused across calls
+	buf  []byte // request frame scratch, reused across calls
 }
 
 // Dial connects to an stmd instance and announces tenant (empty string
@@ -23,8 +22,8 @@ func Dial(addr, tenant string) (*Client, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-	req := append([]byte{OpHello}, byte(len(tenant)))
+	c := &Client{conn: conn, r: bufio.NewReader(conn)}
+	req := append(c.opFrame(OpHello), byte(len(tenant)))
 	req = append(req, tenant...)
 	st, body, err := c.roundTrip(req)
 	if err != nil {
@@ -43,14 +42,12 @@ func Dial(addr, tenant string) (*Client, string, error) {
 // Close tears the connection down.
 func (c *Client) Close() error { return c.conn.Close() }
 
-func (c *Client) roundTrip(payload []byte) (byte, []byte, error) {
-	if err := WriteFrame(c.w, payload); err != nil {
+// roundTrip sends one request frame (see WriteFrame) and reads its response.
+func (c *Client) roundTrip(frame []byte) (byte, []byte, error) {
+	if err := WriteFrame(c.conn, frame); err != nil {
 		return 0, nil, err
 	}
-	if err := c.w.Flush(); err != nil {
-		return 0, nil, err
-	}
-	resp, err := ReadFrame(c.r)
+	resp, err := ReadFrame(c.r, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -61,7 +58,7 @@ func (c *Client) roundTrip(payload []byte) (byte, []byte, error) {
 }
 
 func (c *Client) opFrame(op byte, vals ...uint64) []byte {
-	c.buf = append(c.buf[:0], op)
+	c.buf = append(append(c.buf[:0], make([]byte, frameHdr)...), op)
 	for _, v := range vals {
 		c.buf = AppendU64(c.buf, v)
 	}
@@ -202,7 +199,7 @@ func (c *Client) Pop(n uint64) (vals []uint64, status byte, err error) {
 
 // Stats fetches the server's counter snapshot as raw JSON.
 func (c *Client) Stats() ([]byte, error) {
-	st, body, err := c.roundTrip([]byte{OpStats})
+	st, body, err := c.roundTrip(c.opFrame(OpStats))
 	if err != nil {
 		return nil, err
 	}

@@ -49,9 +49,10 @@ func WithAlgorithm(a stm.Algorithm) Option {
 	}
 }
 
-// WithWorkers sets the STM worker-pool size. Every worker owns one STM
-// thread (a registry slot); connections multiplex onto the pool, so
-// thousands of connections cost a handful of slots. Default 8.
+// WithWorkers sets the STM thread-pool size: the number of STM threads
+// (registry slots), which is also the most transactions that run at once.
+// A connection borrows a pooled thread for each request, so thousands of
+// connections cost a handful of slots. Default 8.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -138,7 +139,7 @@ func WithBuckets(buckets, stripes int) Option {
 // WithSTMConfig supplies the underlying stm.Config template (clock mode,
 // contention manager, MaxAttempts escalation budget, heap size, …).
 // Algorithm and MaxThreads are managed by the server: set the algorithm
-// with WithAlgorithm; MaxThreads is derived from the worker-pool size.
+// with WithAlgorithm; MaxThreads is derived from the thread-pool size.
 func WithSTMConfig(cfg stm.Config) Option {
 	return func(c *config) error {
 		c.stmConfig = cfg

@@ -1,13 +1,15 @@
 // Package server implements stmd: a TCP key-value service backed by the
 // privatization-safe STM through the internal/tds semantic containers.
 //
-// Architecture: every connection gets a cheap goroutine that only frames and
-// parses requests; transactions execute on a fixed pool of workers, each
-// owning one STM thread (a registry slot bounded by Config.MaxThreads), so
-// thousands of connections multiplex onto a handful of transactional
-// contexts. Workers acquire their threads with stm.STM.NewThread and release
-// them with Thread.Close on drain — the lifecycle path that returns registry
-// slots and flushes per-thread reclaim fronts.
+// Architecture: every connection gets a goroutine that reads frames through
+// a buffered reader into one reusable payload buffer, executes each request
+// itself and answers with a single Write. Transactions need an STM thread (a
+// registry slot bounded by Config.MaxThreads), so threads are a fixed pool of
+// tokens: the connection goroutine borrows one for the length of one request
+// and hands it back, and thousands of connections multiplex onto a handful
+// of transactional contexts. The pool is filled with stm.STM.NewThread and
+// emptied by Shutdown, which Thread.Closes every thread — the lifecycle path
+// that returns registry slots and flushes per-thread reclaim fronts.
 //
 // Per-tenant quotas (read/write-set caps, transaction deadlines) are
 // enforced cooperatively inside transaction bodies via Tx.Cancel: a tenant
@@ -17,6 +19,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -50,8 +53,10 @@ type Server struct {
 	m   *tds.Map
 	q   *tds.Queue
 
-	jobs     chan *job
-	workerWg sync.WaitGroup
+	// threads holds the idle STM threads. A receive borrows one, which
+	// gives the exclusive use stm.Thread requires; every borrow ends with a
+	// send.
+	threads chan *stm.Thread
 
 	connWg   sync.WaitGroup
 	connMu   sync.Mutex
@@ -79,21 +84,9 @@ type tenant struct {
 	quotaAborts atomic.Uint64
 }
 
-type job struct {
-	ten  *tenant
-	op   byte
-	body []byte
-	resp chan response
-}
-
-type response struct {
-	status byte
-	body   []byte
-}
-
-// New assembles a server and starts its worker pool (network listening
+// New assembles a server and fills its thread pool (network listening
 // starts with Serve). The STM instance sizes MaxThreads to exactly the
-// worker count: the pool, not the connection count, is the transactional
+// pool size: the pool, not the connection count, is the transactional
 // footprint.
 func New(opts ...Option) (*Server, error) {
 	cfg := defaultConfig()
@@ -129,17 +122,16 @@ func New(opts ...Option) (*Server, error) {
 		s:       s,
 		m:       m,
 		q:       q,
-		jobs:    make(chan *job, cfg.workers*2),
+		threads: make(chan *stm.Thread, cfg.workers),
 		conns:   make(map[net.Conn]struct{}),
 		tenants: make(map[string]*tenant),
 	}
 	for i := 0; i < cfg.workers; i++ {
 		th, err := s.NewThread()
 		if err != nil {
-			return nil, fmt.Errorf("server: worker %d: %w", i, err)
+			return nil, fmt.Errorf("server: thread %d: %w", i, err)
 		}
-		srv.workerWg.Add(1)
-		go srv.worker(th)
+		srv.threads <- th
 	}
 	return srv, nil
 }
@@ -147,7 +139,7 @@ func New(opts ...Option) (*Server, error) {
 // Algorithm reports the engine serving traffic.
 func (srv *Server) Algorithm() stm.Algorithm { return srv.cfg.algorithm }
 
-// Workers reports the worker-pool size (== the STM thread count).
+// Workers reports the thread-pool size (== the STM thread count).
 func (srv *Server) Workers() int { return srv.cfg.workers }
 
 // ReclaimStats exposes the underlying reclaimer's counters; after Shutdown
@@ -190,7 +182,7 @@ func (srv *Server) Serve(ln net.Listener) error {
 		}
 		if reject {
 			srv.rejectedConns.Add(1)
-			_ = WriteFrame(conn, []byte{StatusDraining})
+			_ = writeResponse(conn, make([]byte, respHdr), StatusDraining)
 			conn.Close()
 			continue
 		}
@@ -223,6 +215,11 @@ func (srv *Server) tenantFor(name string) *tenant {
 	return t
 }
 
+// keepBuf caps the per-connection buffers kept between requests: a rare
+// large frame is served, then its buffer is dropped rather than pinned for
+// the connection's lifetime.
+const keepBuf = 64 << 10
+
 func (srv *Server) handleConn(conn net.Conn) {
 	defer func() {
 		srv.connMu.Lock()
@@ -233,54 +230,55 @@ func (srv *Server) handleConn(conn net.Conn) {
 		srv.connWg.Done()
 	}()
 	ten := srv.tenantFor("") // until HELLO names one
-	resp := make(chan response, 1)
+	br := bufio.NewReader(conn)
+	var payload, out []byte
 	for {
-		payload, err := ReadFrame(conn)
-		if err != nil {
+		var err error
+		if payload, err = ReadFrame(br, payload); err != nil {
 			// Read errors include the deadline pokes Shutdown uses to
 			// unblock idle connections — either way the conversation is
 			// over.
 			return
 		}
-		if len(payload) == 0 {
-			_ = WriteFrame(conn, []byte{StatusBadRequest})
-			continue
+		status := StatusBadRequest
+		out = append(out[:0], make([]byte, respHdr)...)
+		if len(payload) > 0 {
+			op, body := payload[0], payload[1:]
+			switch op {
+			case OpHello:
+				status, out = srv.hello(&ten, body, out)
+			case OpStats:
+				status, out = srv.statsResponse(out)
+			case OpGet, OpPut, OpCAS, OpDelete, OpSnapshot, OpPush, OpPop:
+				status, out = srv.execute(ten, op, body, out)
+			default:
+				status = StatusUnsupported
+			}
 		}
-		op, body := payload[0], payload[1:]
-		var r response
-		switch op {
-		case OpHello:
-			r = srv.hello(&ten, body)
-		case OpStats:
-			r = srv.statsResponse()
-		case OpGet, OpPut, OpCAS, OpDelete, OpSnapshot, OpPush, OpPop:
-			jb := &job{ten: ten, op: op, body: body, resp: resp}
-			srv.jobs <- jb
-			r = <-resp
-		default:
-			r = response{status: StatusUnsupported}
-		}
-		if err := WriteFrame(conn, append([]byte{r.status}, r.body...)); err != nil {
+		if err := writeResponse(conn, out, status); err != nil {
 			return
 		}
 		if srv.draining.Load() {
 			return
 		}
+		if cap(payload) > keepBuf || cap(out) > keepBuf {
+			payload, out = nil, nil
+		}
 	}
 }
 
-func (srv *Server) hello(ten **tenant, body []byte) response {
+func (srv *Server) hello(ten **tenant, body, out []byte) (byte, []byte) {
 	r := wireReader{b: body}
 	name, ok := r.str()
 	if !ok || !r.empty() {
-		return response{status: StatusBadRequest}
+		return StatusBadRequest, out
 	}
 	*ten = srv.tenantFor(name)
-	out, err := AppendString(nil, srv.cfg.algorithm.String())
+	b, err := AppendString(out, srv.cfg.algorithm.String())
 	if err != nil {
-		return response{status: StatusBadRequest}
+		return StatusBadRequest, out
 	}
-	return response{status: StatusOK, body: out}
+	return StatusOK, b
 }
 
 // StatsSnapshot is the JSON body of a STATS response.
@@ -324,23 +322,12 @@ func (srv *Server) Stats() StatsSnapshot {
 	return ss
 }
 
-func (srv *Server) statsResponse() response {
+func (srv *Server) statsResponse(out []byte) (byte, []byte) {
 	b, err := json.Marshal(srv.Stats())
 	if err != nil {
-		return response{status: StatusCancelled}
+		return StatusCancelled, out
 	}
-	return response{status: StatusOK, body: b}
-}
-
-// worker owns one STM thread for its lifetime and executes jobs until the
-// channel closes at drain, then releases the thread (flushing its reclaim
-// front and returning the registry slot).
-func (srv *Server) worker(th *stm.Thread) {
-	defer srv.workerWg.Done()
-	defer th.Close()
-	for jb := range srv.jobs {
-		jb.resp <- srv.execute(th, jb)
-	}
+	return StatusOK, append(out, b...)
 }
 
 // enforce applies the tenant's quota inside a transaction body. Pure by
@@ -356,44 +343,49 @@ func enforce(tx *stm.Tx, q Quota) {
 	tx.CheckDeadline()
 }
 
-func (srv *Server) finish(ten *tenant, err error, body []byte) response {
+func (srv *Server) finish(ten *tenant, err error) byte {
 	switch {
 	case err == nil:
 		srv.committed.Add(1)
-		return response{status: StatusOK, body: body}
+		return StatusOK
 	case errors.Is(err, ErrReadQuota):
 		ten.quotaAborts.Add(1)
 		srv.quotaAborts.Add(1)
-		return response{status: StatusReadQuota}
+		return StatusReadQuota
 	case errors.Is(err, ErrWriteQuota):
 		ten.quotaAborts.Add(1)
 		srv.quotaAborts.Add(1)
-		return response{status: StatusWriteQuota}
+		return StatusWriteQuota
 	case errors.Is(err, stm.ErrDeadlineExceeded):
 		srv.deadlineAborts.Add(1)
-		return response{status: StatusDeadline}
+		return StatusDeadline
 	default:
 		srv.cancelled.Add(1)
-		return response{status: StatusCancelled}
+		return StatusCancelled
 	}
 }
 
-func (srv *Server) execute(th *stm.Thread, jb *job) response {
-	q := jb.ten.quota
+// execute runs one transactional request on a thread borrowed from the pool
+// and appends its response body to out. The thread goes back to the pool on
+// every path, after its deadline is cleared.
+func (srv *Server) execute(ten *tenant, op byte, body, out []byte) (byte, []byte) {
+	th := <-srv.threads
+	defer func() { srv.threads <- th }()
+	q := ten.quota
 	if q.TxnDeadline > 0 {
 		th.SetTxnDeadline(time.Now().Add(q.TxnDeadline))
 		defer th.SetTxnDeadline(time.Time{})
 	}
-	r := wireReader{b: jb.body}
-	switch jb.op {
+	r := wireReader{b: body}
+	base := len(out) // a retried body restarts its output here
+	switch op {
 	case OpGet:
 		keys, ok := readKeys(&r, 1)
 		if !ok {
-			return response{status: StatusBadRequest}
+			return StatusBadRequest, out
 		}
-		var out []byte
 		err := th.Atomic(func(tx *stm.Tx) {
-			out = AppendU64(out[:0], uint64(len(keys)))
+			out = AppendU64(out[:base], uint64(len(keys)))
 			for _, k := range keys {
 				v, found := srv.m.Get(tx, stm.Word(k))
 				var f uint64
@@ -404,11 +396,11 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		return srv.finish(jb.ten, err, out)
+		return srv.finish(ten, err), out
 	case OpPut:
 		pairs, ok := readKeys(&r, 2)
 		if !ok {
-			return response{status: StatusBadRequest}
+			return StatusBadRequest, out
 		}
 		err := th.Atomic(func(tx *stm.Tx) {
 			for i := 0; i < len(pairs); i += 2 {
@@ -416,11 +408,11 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		return srv.finish(jb.ten, err, nil)
+		return srv.finish(ten, err), out
 	case OpCAS:
 		triples, ok := readKeys(&r, 3)
 		if !ok {
-			return response{status: StatusBadRequest}
+			return StatusBadRequest, out
 		}
 		var swapped uint64
 		err := th.Atomic(func(tx *stm.Tx) {
@@ -438,15 +430,14 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		return srv.finish(jb.ten, err, AppendU64(nil, swapped))
+		return srv.finish(ten, err), AppendU64(out, swapped)
 	case OpDelete:
 		keys, ok := readKeys(&r, 1)
 		if !ok {
-			return response{status: StatusBadRequest}
+			return StatusBadRequest, out
 		}
-		var out []byte
 		err := th.Atomic(func(tx *stm.Tx) {
-			out = AppendU64(out[:0], uint64(len(keys)))
+			out = AppendU64(out[:base], uint64(len(keys)))
 			for _, k := range keys {
 				var e uint64
 				if srv.m.Delete(tx, stm.Word(k)) {
@@ -456,23 +447,23 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		return srv.finish(jb.ten, err, out)
+		return srv.finish(ten, err), out
 	case OpSnapshot:
 		b, ok := r.u64()
 		if !ok || !r.empty() {
-			return response{status: StatusBadRequest}
+			return StatusBadRequest, out
 		}
 		pl, err := srv.m.PrivateSnapshot(th, int(b%uint64(srv.m.Buckets())))
 		if err != nil {
 			if errors.Is(err, tds.ErrNotPrivatizationSafe) {
-				return response{status: StatusUnsupported}
+				return StatusUnsupported, out
 			}
-			return srv.finish(jb.ten, err, nil)
+			return srv.finish(ten, err), out
 		}
 		// The privatizing transaction committed and weak readers are
 		// quiesced: walk the detached chain uninstrumented, then retire
 		// the nodes through the epoch reclaimer.
-		out := AppendU64(nil, uint64(pl.Count))
+		out = AppendU64(out, uint64(pl.Count))
 		pl.EachKV(func(k, v stm.Word) bool {
 			out = AppendU64(AppendU64(out, uint64(k)), uint64(v))
 			return true
@@ -480,11 +471,11 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 		pl.Retire(th)
 		srv.privatizeOps.Add(1)
 		srv.committed.Add(1)
-		return response{status: StatusOK, body: out}
+		return StatusOK, out
 	case OpPush:
 		vals, ok := readKeys(&r, 1)
 		if !ok {
-			return response{status: StatusBadRequest}
+			return StatusBadRequest, out
 		}
 		err := th.Atomic(func(tx *stm.Tx) {
 			for _, v := range vals {
@@ -492,13 +483,12 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		return srv.finish(jb.ten, err, nil)
+		return srv.finish(ten, err), out
 	case OpPop:
 		n, ok := r.u64()
 		if !ok || !r.empty() || n == 0 || n > maxOpKeys {
-			return response{status: StatusBadRequest}
+			return StatusBadRequest, out
 		}
-		var out []byte
 		var popped []uint64
 		err := th.Atomic(func(tx *stm.Tx) {
 			popped = popped[:0]
@@ -511,15 +501,13 @@ func (srv *Server) execute(th *stm.Thread, jb *job) response {
 				enforce(tx, q)
 			}
 		})
-		if err == nil {
-			out = AppendU64(nil, uint64(len(popped)))
-			for _, v := range popped {
-				out = AppendU64(out, v)
-			}
+		out = AppendU64(out, uint64(len(popped)))
+		for _, v := range popped {
+			out = AppendU64(out, v)
 		}
-		return srv.finish(jb.ten, err, out)
+		return srv.finish(ten, err), out
 	}
-	return response{status: StatusUnsupported}
+	return StatusUnsupported, out
 }
 
 // readKeys parses "count, count×group u64s" with the count bounded by
@@ -544,9 +532,9 @@ func readKeys(r *wireReader, group int) ([]uint64, bool) {
 }
 
 // Shutdown drains the server: stop accepting, unblock idle connections and
-// let in-flight requests finish, retire the worker pool (each worker
-// Thread.Close()s, flushing reclaim fronts and returning registry slots),
-// then drain the epoch reclaimer. On a clean drain the reclaimer reports
+// let in-flight requests finish, retire the thread pool (every thread is
+// Close()d, flushing reclaim fronts and returning registry slots), then
+// drain the epoch reclaimer. On a clean drain the reclaimer reports
 // zero quarantined extents. ctx bounds the wait; on expiry remaining
 // connections are closed forcibly and Shutdown reports the first error.
 func (srv *Server) Shutdown(ctx context.Context) error {
@@ -577,8 +565,12 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 
-	close(srv.jobs)
-	srv.workerWg.Wait()
+	// No connection goroutine is left, so every thread is back in the pool.
+	for i := 0; i < srv.cfg.workers; i++ {
+		if err := (<-srv.threads).Close(); err != nil {
+			errs = append(errs, fmt.Errorf("server: close thread: %w", err))
+		}
+	}
 
 	// All threads are closed; every retired extent is published. The final
 	// drain must clear the quarantine completely.

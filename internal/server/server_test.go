@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,14 +15,20 @@ import (
 )
 
 // startServer spins up a server on a loopback listener and returns it with
-// its address and a shutdown func that asserts a clean drain.
+// its address; a cleanup shuts it down and asserts a clean drain.
 func startServer(t *testing.T, opts ...Option) (*Server, string) {
 	t.Helper()
-	srv, err := New(opts...)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return startServerOn(t, ln, opts...), ln.Addr().String()
+}
+
+// startServerOn is startServer on a caller-supplied listener.
+func startServerOn(t *testing.T, ln net.Listener, opts ...Option) *Server {
+	t.Helper()
+	srv, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +37,18 @@ func startServer(t *testing.T, opts ...Option) (*Server, string) {
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
+		// ctx bounds only the connection drain; a pooled thread that was
+		// never handed back would block Shutdown for good.
+		shut := make(chan error, 1)
+		go func() { shut <- srv.Shutdown(ctx) }()
+		select {
+		case err := <-shut:
+			if err != nil {
+				t.Errorf("Shutdown: %v", err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Errorf("Shutdown hung: a pooled thread was never returned")
+			return
 		}
 		if err := <-done; err != nil {
 			t.Errorf("Serve: %v", err)
@@ -38,7 +57,7 @@ func startServer(t *testing.T, opts ...Option) (*Server, string) {
 			t.Errorf("Limbo = %d after Shutdown, want 0", rs.Limbo)
 		}
 	})
-	return srv, ln.Addr().String()
+	return srv
 }
 
 func TestServerKVRoundTrip(t *testing.T) {
@@ -246,7 +265,7 @@ func TestServerMaxConns(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	payload, err := ReadFrame(conn)
+	payload, err := ReadFrame(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatalf("surplus connection: %v", err)
 	}
@@ -330,4 +349,152 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	// startServer's cleanup runs Shutdown and asserts Limbo == 0.
+}
+
+// countingListener wraps every accepted connection so its Write calls are
+// counted, one counter per connection in accept order.
+type countingListener struct {
+	net.Listener
+	mu     sync.Mutex
+	writes []*atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	n := new(atomic.Int64)
+	l.mu.Lock()
+	l.writes = append(l.writes, n)
+	l.mu.Unlock()
+	return &countingConn{Conn: c, writes: n}, nil
+}
+
+func (l *countingListener) conn(i int) *atomic.Int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.writes[i]
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestServerOneWritePerResponse: every response, whatever the request, is
+// framed whole and sent with a single Write — including the error statuses
+// and the reject of a connection over WithMaxConns. A client holds the full
+// response only after all its writes, so the count read then is final.
+func TestServerOneWritePerResponse(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	startServerOn(t, ln, WithWorkers(1), WithMaxConns(1), WithBuckets(1, 1))
+	addr := inner.Addr().String()
+	c, _, err := Dial(addr, "t") // HELLO
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	writes := ln.conn(0)
+	if n := writes.Load(); n != 1 {
+		t.Fatalf("HELLO: %d writes, want 1", n)
+	}
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"STATS", func() error { _, err := c.Stats(); return err }},
+		{"PUT", func() error { _, err := c.Put([]uint64{1, 10, 2, 20}); return err }},
+		{"GET", func() error { _, _, _, err := c.Get([]uint64{1, 3}); return err }},
+		{"CAS", func() error { _, _, err := c.CAS([]uint64{1, 10, 11}); return err }},
+		{"DELETE", func() error { _, _, err := c.Delete([]uint64{2}); return err }},
+		{"SNAPSHOT", func() error { _, _, err := c.Snapshot(0); return err }},
+		{"PUSH", func() error { _, err := c.Push([]uint64{7, 8}); return err }},
+		{"POP", func() error { _, _, err := c.Pop(3); return err }},
+		{"empty payload", func() error { return wantStatus(c, nil, StatusBadRequest) }},
+		{"unknown opcode", func() error { return wantStatus(c, []byte{0xee}, StatusUnsupported) }},
+		{"malformed GET", func() error { return wantStatus(c, []byte{OpGet, 1}, StatusBadRequest) }},
+	}
+	for _, s := range steps {
+		before := writes.Load()
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if n := writes.Load() - before; n != 1 {
+			t.Errorf("%s: %d writes for one response, want 1", s.name, n)
+		}
+	}
+
+	surplus, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer surplus.Close()
+	surplus.SetReadDeadline(time.Now().Add(5 * time.Second))
+	payload, err := ReadFrame(bufio.NewReader(surplus), nil)
+	if err != nil || len(payload) != 1 || payload[0] != StatusDraining {
+		t.Fatalf("surplus connection: payload %v err %v, want [StatusDraining]", payload, err)
+	}
+	if n := ln.conn(1).Load(); n != 1 {
+		t.Errorf("MaxConns reject: %d writes, want 1", n)
+	}
+}
+
+// wantStatus sends a raw request payload and checks the response status.
+func wantStatus(c *Client, req []byte, want byte) error {
+	st, _, err := c.roundTrip(append(make([]byte, frameHdr), req...))
+	if err == nil && st != want {
+		err = fmt.Errorf("status %d, want %d", st, want)
+	}
+	return err
+}
+
+// TestServerThreadReturnedOnEveryPath: with a single pooled thread, every
+// way a request can end — quota abort, deadline abort, malformed body,
+// unsupported opcode — must hand the thread back, or the next transaction
+// waits forever for it; startServer's cleanup then requires a prompt, clean
+// Shutdown with Limbo == 0.
+func TestServerThreadReturnedOnEveryPath(t *testing.T) {
+	_, addr := startServer(t, WithWorkers(1),
+		WithTenantQuota("noisy", Quota{WriteSetCap: 4}),
+		WithTenantQuota("slow", Quota{TxnDeadline: time.Nanosecond}))
+	dial := func(tenant string) *Client {
+		c, _, err := Dial(addr, tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.conn.SetDeadline(time.Now().Add(5 * time.Second)) // a leaked thread hangs the next request
+		return c
+	}
+	noisy, slow, plain := dial("noisy"), dial("slow"), dial("")
+
+	big := make([]uint64, 0, 20)
+	for k := uint64(100); k < 110; k++ {
+		big = append(big, k, k)
+	}
+	if st, err := noisy.Put(big); err != nil || st != StatusWriteQuota {
+		t.Fatalf("write-set quota: status %d err %v", st, err)
+	}
+	if st, err := slow.Put([]uint64{1, 1}); err != nil || st != StatusDeadline {
+		t.Fatalf("deadline: status %d err %v", st, err)
+	}
+	if err := wantStatus(plain, []byte{OpPut, 0, 0, 0, 0, 0, 0, 0, 1, 9}, StatusBadRequest); err != nil {
+		t.Fatalf("malformed PUT: %v", err)
+	}
+	if err := wantStatus(plain, []byte{0xee}, StatusUnsupported); err != nil {
+		t.Fatalf("unsupported opcode: %v", err)
+	}
+	if st, err := plain.Put([]uint64{5, 50}); err != nil || st != StatusOK {
+		t.Fatalf("PUT after failed requests: status %d err %v (thread leaked?)", st, err)
+	}
 }

@@ -39,6 +39,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -77,32 +78,61 @@ const MaxFrame = 1 << 20
 
 var errFrameTooLarge = errors.New("server: frame exceeds MaxFrame")
 
-// ReadFrame reads one length-prefixed frame payload.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// frameHdr is the room a frame buffer reserves ahead of its payload for
+// the 4-byte length; respHdr adds a response's status byte.
+const (
+	frameHdr = 4
+	respHdr  = frameHdr + 1
+)
+
+// ReadFrame reads one length-prefixed frame payload into buf's storage,
+// growing it only when the payload exceeds cap(buf), and returns the
+// payload. The result aliases buf: a caller reusing one buffer gets a frame
+// per call and no allocation, a caller passing nil gets a fresh slice. The
+// length prefix is checked against MaxFrame before anything grows. On error
+// it returns buf[:0].
+func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(frameHdr)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return buf[:0], err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
-		return nil, errFrameTooLarge
+		return buf[:0], errFrameTooLarge
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	_, _ = r.Discard(frameHdr) // cannot fail: Peek buffered the header
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
 	}
-	return buf, nil
+	if _, err := io.ReadFull(r, buf[:n]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return buf[:0], err
+	}
+	return buf[:n], nil
 }
 
-// WriteFrame writes payload as one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// WriteFrame sends frame — frameHdr reserved bytes, then the payload — as
+// one length-prefixed frame with a single Write: under TCP_NODELAY a
+// separate header write would leave as a segment of its own.
+func WriteFrame(w io.Writer, frame []byte) error {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHdr))
+	_, err := w.Write(frame)
 	return err
+}
+
+// writeResponse sends out — respHdr reserved bytes, then the body — as one
+// response frame. Non-OK statuses carry no body.
+func writeResponse(w io.Writer, out []byte, status byte) error {
+	if status != StatusOK {
+		out = out[:respHdr]
+	}
+	out[frameHdr] = status
+	return WriteFrame(w, out)
 }
 
 // AppendU64 appends v big-endian.

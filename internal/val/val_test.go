@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"privstm/internal/core"
+	"privstm/internal/heap"
 )
 
 func newRT(t *testing.T) *core.Runtime {
@@ -110,13 +111,18 @@ func TestDoomedReaderAbortsAtFence(t *testing.T) {
 	// the reader, and the reader's abort (via incremental validation at
 	// its next read) is what releases the fence — the two resolve each
 	// other.
+	//
+	// How many times the reader retries rides a real-time race with the
+	// writer's write-back, so the test asserts the outcome instead: at least
+	// one abort, a committed attempt that saw the write, one fence.
 	attempts := 0
+	var seen heap.Word
 	var once sync.Once
 	var wg sync.WaitGroup
 	if err := core.Run(e, r, func() {
 		attempts++
 		before := rt.Clock.Now()
-		_ = e.Read(r, x)
+		seen = e.Read(r, x)
 		once.Do(func() {
 			wg.Add(1)
 			go func() {
@@ -132,8 +138,11 @@ func TestDoomedReaderAbortsAtFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if attempts != 2 {
-		t.Errorf("attempts = %d, want 2", attempts)
+	if attempts < 2 {
+		t.Errorf("attempts = %d, want the reader to abort at least once", attempts)
+	}
+	if seen != 1 {
+		t.Errorf("committed attempt read x = %d, want the writer's 1", seen)
 	}
 	if w.Stats.Fenced != 1 {
 		t.Errorf("writer Fenced = %d, want 1", w.Stats.Fenced)
