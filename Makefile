@@ -86,13 +86,12 @@ bench-json:
 
 # Single-iteration pass over the hot-path benchmarks; catches bit-rot
 # without paying for a real measurement run (used by CI). The clock-mode
-# matrix drives a quick figure pass under each version-clock scheme and the
-# Ord commit batcher so none of those paths rot between measurement runs.
+# matrix drives a quick figure pass under each deferred version-clock scheme
+# so neither path rots between measurement runs.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x ./internal/bench ./internal/txnlist ./internal/sched
 	$(GO) run ./cmd/stmbench -fig 3b -threads 1,2 -txns 500 -algos TL2,Ord,Val,pvrHybrid -clock gv5
 	$(GO) run ./cmd/stmbench -fig 3b -threads 1,2 -txns 500 -algos TL2,Ord,Val,pvrHybrid -clock local
-	$(GO) run ./cmd/stmbench -fig 3b -threads 1,2 -txns 500 -algos Ord -clock gv5 -orderbatch 8
 
 # Clock-scalability baseline: the paired A/B sweep (every deferred-clock
 # variant interleaved with a same-seed GV1 run of the same engine) on the

@@ -6,16 +6,16 @@ import (
 	"testing"
 )
 
-// clockConfig builds an STM with a specific clock mode (and optional Ord
-// commit batcher) on top of the standard test geometry.
-func newClockSTM(t *testing.T, alg Algorithm, mode ClockMode, batch int) *STM {
+// newClockSTM builds an STM with a specific clock mode on top of the
+// standard test geometry.
+func newClockSTM(t *testing.T, alg Algorithm, mode ClockMode) *STM {
 	t.Helper()
 	s, err := New(Config{
 		Algorithm: alg, HeapWords: 1 << 16, OrecCount: 1 << 10,
-		Clock: mode, OrderBatch: batch,
+		Clock: mode,
 	})
 	if err != nil {
-		t.Fatalf("New(%v, clock=%v, batch=%d): %v", alg, mode, batch, err)
+		t.Fatalf("New(%v, clock=%v): %v", alg, mode, err)
 	}
 	return s
 }
@@ -37,7 +37,7 @@ func TestGV5ReaderAdvances(t *testing.T) {
 	// observes a future timestamp in the first place.
 	for _, alg := range []Algorithm{TL2, Ord, OrdQueue, PVRHybrid} {
 		t.Run(alg.String(), func(t *testing.T) {
-			s := newClockSTM(t, alg, ClockGV5, 0)
+			s := newClockSTM(t, alg, ClockGV5)
 			a := s.MustAlloc(1)
 			wth := s.MustNewThread()
 			rth := s.MustNewThread()
@@ -73,7 +73,7 @@ func TestGV5ReaderAdvances(t *testing.T) {
 func TestClockTicksEliminated(t *testing.T) {
 	const txns = 50
 	run := func(t *testing.T, alg Algorithm, mode ClockMode) *STM {
-		s := newClockSTM(t, alg, mode, 0)
+		s := newClockSTM(t, alg, mode)
 		a := s.MustAlloc(1)
 		th := s.MustNewThread()
 		for i := 0; i < txns; i++ {
@@ -112,7 +112,7 @@ func TestClockTicksEliminated(t *testing.T) {
 // the global clock never moves; a second thread then observes the data
 // consistently (its reads force a global-clock advance).
 func TestLocalClockMonotoneCommits(t *testing.T) {
-	s := newClockSTM(t, Ord, ClockLocal, 0)
+	s := newClockSTM(t, Ord, ClockLocal)
 	a := s.MustAlloc(2)
 	th := s.MustNewThread()
 	for i := 0; i < 10; i++ {
@@ -170,25 +170,23 @@ func TestClockModeParse(t *testing.T) {
 }
 
 // TestCommitPathAllocFree pins the allocation discipline of the new commit
-// paths: the GV5 and local-clock fast paths and the batcher's self-serve
-// path must stay 0 allocs/txn, same as the GV1 baseline they replace.
+// paths: the GV5 and local-clock fast paths must stay 0 allocs/txn, same as
+// the GV1 baseline they replace.
 func TestCommitPathAllocFree(t *testing.T) {
 	cases := []struct {
-		name  string
-		alg   Algorithm
-		mode  ClockMode
-		batch int
+		name string
+		alg  Algorithm
+		mode ClockMode
 	}{
-		{"tl2/gv1", TL2, ClockGV1, 0},
-		{"tl2/gv5", TL2, ClockGV5, 0},
-		{"tl2/local", TL2, ClockLocal, 0},
-		{"ord/gv5", Ord, ClockGV5, 0},
-		{"ord/local", Ord, ClockLocal, 0},
-		{"ord/gv5+batch", Ord, ClockGV5, 8},
+		{"tl2/gv1", TL2, ClockGV1},
+		{"tl2/gv5", TL2, ClockGV5},
+		{"tl2/local", TL2, ClockLocal},
+		{"ord/gv5", Ord, ClockGV5},
+		{"ord/local", Ord, ClockLocal},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newClockSTM(t, tc.alg, tc.mode, tc.batch)
+			s := newClockSTM(t, tc.alg, tc.mode)
 			a := s.MustAlloc(1)
 			th := s.MustNewThread()
 			body := func(tx *Tx) { tx.Store(a, tx.Load(a)+1) }
@@ -206,75 +204,15 @@ func TestCommitPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestCombinerCountersWired: with the batcher enabled, concurrent Ord
-// commits must still land exactly, and the Combined/CombineLeads counters
-// must agree (every combined commit has exactly one leader service).
-func TestCombinerCountersWired(t *testing.T) {
-	const (
-		threads = 4
-		txns    = 200
-	)
-	s := newClockSTM(t, Ord, ClockGV5, 8)
-	a := s.MustAlloc(1)
-	done := make(chan error, threads)
-	for w := 0; w < threads; w++ {
-		th := s.MustNewThread()
-		go func() {
-			var err error
-			for i := 0; i < txns && err == nil; i++ {
-				err = th.Atomic(func(tx *Tx) { tx.Store(a, tx.Load(a)+1) })
-			}
-			done <- err
-		}()
-	}
-	for w := 0; w < threads; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.DirectLoad(a); got != threads*txns {
-		t.Fatalf("counter = %d, want %d: a combined write-back was lost or doubled", got, threads*txns)
-	}
-	agg := s.Stats()
-	if agg.ClockTicks != 0 {
-		t.Errorf("ClockTicks = %d under GV5+batch, want 0", agg.ClockTicks)
-	}
-	if agg.Combined > 0 && agg.CombineLeads == 0 {
-		t.Errorf("Combined = %d but CombineLeads = 0: counters out of sync", agg.Combined)
-	}
-	if agg.WriterCommits != threads*txns {
-		t.Errorf("WriterCommits = %d, want %d", agg.WriterCommits, threads*txns)
-	}
-}
-
 // TestSerializabilityClockModes reruns the offline conflict-serializability
-// oracle over every deferred clock mode × redo engine, plus the Ord batcher
-// under both deferred modes — the end-to-end isolation check for the new
-// commit paths.
+// oracle over every deferred clock mode × redo engine — the end-to-end
+// isolation check for the new commit paths.
 func TestSerializabilityClockModes(t *testing.T) {
-	type variant struct {
-		alg   Algorithm
-		mode  ClockMode
-		batch int
-	}
-	var variants []variant
 	for _, alg := range deferredAlgos {
 		for _, mode := range []ClockMode{ClockGV5, ClockLocal} {
-			variants = append(variants, variant{alg, mode, 0})
+			t.Run(fmt.Sprintf("%v/%v", alg, mode), func(t *testing.T) {
+				serializabilityRun(t, newClockSTM(t, alg, mode), 4, 150, 8)
+			})
 		}
-	}
-	variants = append(variants,
-		variant{Ord, ClockGV1, 8},
-		variant{Ord, ClockGV5, 8},
-		variant{Ord, ClockLocal, 8},
-	)
-	for _, v := range variants {
-		name := fmt.Sprintf("%v/%v", v.alg, v.mode)
-		if v.batch > 0 {
-			name += fmt.Sprintf("+b%d", v.batch)
-		}
-		t.Run(name, func(t *testing.T) {
-			serializabilityRun(t, newClockSTM(t, v.alg, v.mode, v.batch), 4, 150, 8)
-		})
 	}
 }

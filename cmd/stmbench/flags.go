@@ -1,7 +1,7 @@
 // Flag cross-validation: stmbench grew many mode and modifier flags, and
 // inconsistent combinations used to be silently ignored or half-applied
-// (e.g. -orderbatch with a filter that excludes Ord, -zipf with the -aa
-// noise control, -remote with a local sweep). crossValidate rejects them
+// (e.g. -zipf with the -aa noise control, -remote with a local sweep,
+// -algos with -clocksweep). crossValidate rejects them
 // uniformly: exit 2 with a usage message on stderr, like the long-standing
 // -zipf range check.
 package main
@@ -24,8 +24,6 @@ type flagValues struct {
 	tdssweep   bool
 	micro      bool
 	aa         bool
-	algos      string // -algos curve filter
-	orderBatch int
 	zipf       float64
 }
 
@@ -64,24 +62,13 @@ func (v *flagValues) modes(set map[string]bool) []string {
 // configured when stmd started).
 var localOnlyWithRemote = []string{
 	"fig", "threads", "txns", "scale", "reps", "algos", "mix", "tracker",
-	"noextend", "cm", "oreclayout", "nohintcache", "clock", "orderbatch",
+	"noextend", "cm", "nohintcache", "clock",
 	"tdsthreads", "tdsgain", "noreclaim", "nosandbox", "pairs", "aa",
 	"basejson", "maxattempts", "micro", "tolerance", "csv",
 }
 
 // remoteOnly lists flags meaningful only with -remote.
 var remoteOnly = []string{"conns", "remotemix", "tenants", "keys", "batch"}
-
-// ordLabels are the -algos labels whose engines consult -orderbatch.
-func hasOrdAlgo(algos string) bool {
-	for _, name := range strings.Split(algos, ",") {
-		switch strings.TrimSpace(name) {
-		case "Ord", "OrdQueue":
-			return true
-		}
-	}
-	return false
-}
 
 // crossValidate checks flag *combinations* (each flag's own value range is
 // validated at its point of use). set holds the names explicitly passed on
@@ -126,9 +113,6 @@ func crossValidate(set map[string]bool, v flagValues) error {
 	}
 	if set["tolerance"] && !v.compare {
 		return fmt.Errorf("-tolerance only applies to -compare")
-	}
-	if v.orderBatch > 0 && set["algos"] && !hasOrdAlgo(v.algos) {
-		return fmt.Errorf("-orderbatch %d has no effect: the -algos filter %q excludes Ord and OrdQueue", v.orderBatch, v.algos)
 	}
 	if set["algos"] && v.clocksweep {
 		return fmt.Errorf("-algos does not filter -clocksweep (the sweep fixes its own engine matrix)")

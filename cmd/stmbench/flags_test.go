@@ -23,7 +23,7 @@ func TestCrossValidateAccepts(t *testing.T) {
 	}{
 		{"no flags", set(), flagValues{}},
 		{"plain figure", set("fig"), flagValues{fig: "3a"}},
-		{"figure with mix and algos", set("fig", "mix", "algos"), flagValues{fig: "3a", algos: "TL2,pvrStore"}},
+		{"figure with mix and algos", set("fig", "mix", "algos"), flagValues{fig: "3a"}},
 		{"remote with its modifiers", set("remote", "conns", "keys", "batch", "remotemix", "tenants", "zipf", "json", "dur", "seed"),
 			flagValues{remote: ":7077", zipf: 0.8}},
 		{"clocksweep with pairs and aa", set("clocksweep", "pairs", "aa", "basejson"),
@@ -31,11 +31,6 @@ func TestCrossValidateAccepts(t *testing.T) {
 		{"tdssweep with zipf", set("tdssweep", "zipf", "pairs"), flagValues{tdssweep: true, zipf: 0.6}},
 		{"compare with tolerance", set("compare", "tolerance"), flagValues{compare: true}},
 		{"tdscheck with knobs", set("tdscheck", "tdsthreads", "tdsgain"), flagValues{tdscheck: true}},
-		{"orderbatch with Ord in filter", set("fig", "orderbatch", "algos"),
-			flagValues{fig: "3a", orderBatch: 8, algos: "Ord,TL2"}},
-		{"orderbatch with OrdQueue in filter", set("fig", "orderbatch", "algos"),
-			flagValues{fig: "3b", orderBatch: 4, algos: "OrdQueue"}},
-		{"orderbatch without a filter", set("fig", "orderbatch"), flagValues{fig: "3a", orderBatch: 8}},
 		{"micro alone", set("micro"), flagValues{micro: true}},
 		{"zipf on a figure", set("fig", "zipf"), flagValues{fig: "3e", zipf: 0.9}},
 	}
@@ -89,10 +84,8 @@ func TestCrossValidateRejects(t *testing.T) {
 			flagValues{fig: "3a"}, "-tdsthreads"},
 		{"tolerance without compare", set("fig", "tolerance"),
 			flagValues{fig: "3a"}, "-tolerance"},
-		{"orderbatch with non-Ord filter", set("fig", "orderbatch", "algos"),
-			flagValues{fig: "3a", orderBatch: 8, algos: "TL2,pvrStore"}, "-orderbatch"},
 		{"algos with clocksweep", set("clocksweep", "algos"),
-			flagValues{clocksweep: true, algos: "Ord"}, "-algos"},
+			flagValues{clocksweep: true}, "-algos"},
 	}
 	for _, tc := range cases {
 		err := crossValidate(tc.set, tc.v)
@@ -102,22 +95,6 @@ func TestCrossValidateRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-func TestHasOrdAlgo(t *testing.T) {
-	for spec, want := range map[string]bool{
-		"Ord":          true,
-		"OrdQueue":     true,
-		" Ord , TL2 ":  true,
-		"TL2,pvrStore": false,
-		"pvrHybrid":    false,
-		"ordqueue":     false, // labels are case-sensitive figure labels
-		"":             false,
-	} {
-		if got := hasOrdAlgo(spec); got != want {
-			t.Errorf("hasOrdAlgo(%q) = %v, want %v", spec, got, want)
 		}
 	}
 }

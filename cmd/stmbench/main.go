@@ -46,10 +46,8 @@ func main() {
 		tracker  = flag.String("tracker", "slot", "incomplete-transaction tracker: slot, list, or scan")
 		noextend = flag.Bool("noextend", false, "disable snapshot extension (pre-optimization ablation)")
 		cmName   = flag.String("cm", "backoff", "contention manager: backoff, karma, or serialize")
-		layout   = flag.String("oreclayout", "aos", "orec-table memory layout: aos or soa")
 		nocache  = flag.Bool("nohintcache", false, "disable the thread-local orec hint cache (ablation)")
 		clockStr = flag.String("clock", "gv1", "version-clock scheme: gv1, gv5, or local")
-		obatch   = flag.Int("orderbatch", 0, "Ord flat-combining commit batch bound (0 = off)")
 		csweep   = flag.Bool("clocksweep", false, "run the paired clock-scalability sweep (fig clk); writes candidates to -json, gv1 baselines to -basejson")
 		rsweep   = flag.Bool("reclaimsweep", false, "run the paired reclamation-overhead sweep (fig rcl); writes reclaim cells to -json, pool baselines to -basejson")
 		tsweep   = flag.Bool("tdssweep", false, "run the paired semantic-structure sweep (fig tds); writes tds cells to -json, tlib baselines to -basejson")
@@ -91,8 +89,6 @@ func main() {
 		tdssweep:   *tsweep,
 		micro:      *micro,
 		aa:         *aa,
-		algos:      *algos,
-		orderBatch: *obatch,
 		zipf:       *zipf,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "stmbench: %v\nstmbench: run with -h for flag usage\n", err)
@@ -171,12 +167,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	orecLayout, err := stm.ParseOrecLayout(*layout)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stmbench: bad -oreclayout %q (want aos or soa)\n", *layout)
-		os.Exit(2)
-	}
-
 	clockMode, err := stm.ParseClockMode(*clockStr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "stmbench: bad -clock %q (want gv1, gv5, or local)\n", *clockStr)
@@ -245,10 +235,8 @@ func main() {
 		DisableExtension: *noextend,
 		CM:               cmPolicy,
 		MaxAttempts:      *maxAtt,
-		OrecLayout:       orecLayout,
 		DisableHintCache: *nocache,
 		Clock:            clockMode,
-		OrderBatch:       *obatch,
 		DisableSandbox:   *noSandbx,
 		ZipfTheta:        *zipf,
 	}
@@ -256,9 +244,9 @@ func main() {
 		hc.Free = bench.FreePool
 	}
 
-	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s extension=%s cm=%s maxattempts=%d oreclayout=%s hintcache=%s clock=%s orderbatch=%d reclaim=%s sandbox=%s zipf=%.2f\n",
+	fmt.Printf("# GOMAXPROCS=%d NumCPU=%d scale=1/%d tracker=%s extension=%s cm=%s maxattempts=%d hintcache=%s clock=%s reclaim=%s sandbox=%s zipf=%.2f\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), *scale, *tracker, onOff(!*noextend), cmPolicy, *maxAtt,
-		orecLayout, onOff(!*nocache), clockMode, *obatch, onOff(!*noRecl), onOff(!*noSandbx), *zipf)
+		onOff(!*nocache), clockMode, onOff(!*noRecl), onOff(!*noSandbx), *zipf)
 	if runtime.NumCPU() < 8 {
 		fmt.Printf("# note: %d CPUs — thread counts beyond that timeshare; expect curves to flatten there\n", runtime.NumCPU())
 	}
@@ -397,8 +385,8 @@ func main() {
 			os.Exit(1)
 		}
 		bench.SortMeasurements(allMs)
-		label := fmt.Sprintf("tracker=%s extension=%s scale=1/%d cm=%s oreclayout=%s hintcache=%s clock=%s orderbatch=%d",
-			*tracker, onOff(!*noextend), *scale, cmPolicy, orecLayout, onOff(!*nocache), clockMode, *obatch)
+		label := fmt.Sprintf("tracker=%s extension=%s scale=1/%d cm=%s hintcache=%s clock=%s",
+			*tracker, onOff(!*noextend), *scale, cmPolicy, onOff(!*nocache), clockMode)
 		werr := bench.WriteJSONReport(out, label, allMs, micros)
 		if cerr := out.Close(); werr == nil {
 			werr = cerr

@@ -30,7 +30,7 @@ func main() {
 		HeapWords:  1 << 18,
 		MaxThreads: workers + 2,
 		// Two of this repo's future-work extensions, on:
-		ScanTracker:      true,
+		Tracker:          stm.TrackerScan,
 		CapFenceAtCommit: true,
 	})
 

@@ -24,55 +24,41 @@ var schedReplay = flag.String("sched.replay", "",
 // variant, and the hybrid.
 var exploreAlgos = []Algorithm{Ord, Val, TL2, PVRBase, PVRStore, PVRHybrid}
 
-// exploreClock/exploreBatch select the clock variant the programs build
-// with. They are package state rather than parameters so the replay format
-// stays a flat string; TestExploreClockModes sets them around each subtest
-// (the corpus tests are not parallel) and encodes them in replay lines.
-var (
-	exploreClock = ClockGV1
-	exploreBatch = 0
-)
+// exploreClock selects the clock mode the programs build with. It is
+// package state rather than a parameter so the replay format stays a flat
+// string; TestExploreClockModes sets it around each subtest (the corpus
+// tests are not parallel) and encodes it in replay lines.
+var exploreClock = ClockGV1
 
-// setExploreVariant installs a clock variant and returns the restore func.
-func setExploreVariant(mode ClockMode, batch int) func() {
-	prevC, prevB := exploreClock, exploreBatch
-	exploreClock, exploreBatch = mode, batch
-	return func() { exploreClock, exploreBatch = prevC, prevB }
+// setExploreClock installs a clock mode and returns the restore func.
+func setExploreClock(mode ClockMode) func() {
+	prev := exploreClock
+	exploreClock = mode
+	return func() { exploreClock = prev }
 }
 
-// exploreVariantTag renders the current variant as the replay-string suffix
-// of the algorithm token: "" for the default, "@gv5", "@local+b8", …
+// exploreVariantTag renders the current clock mode as the replay-string
+// suffix of the algorithm token: "" for the default, "@gv5", "@local".
 func exploreVariantTag() string {
-	if exploreClock == ClockGV1 && exploreBatch == 0 {
+	if exploreClock == ClockGV1 {
 		return ""
 	}
-	tag := "@" + exploreClock.String()
-	if exploreBatch > 0 {
-		tag += fmt.Sprintf("+b%d", exploreBatch)
-	}
-	return tag
+	return "@" + exploreClock.String()
 }
 
-// parseExploreAlgorithm parses an algorithm token with an optional variant
-// suffix ("ord", "ord@gv5", "ord@gv5+b8") and installs the variant.
+// parseExploreAlgorithm parses an algorithm token with an optional clock
+// suffix ("ord", "ord@gv5") and installs the clock mode.
 func parseExploreAlgorithm(tok string) (Algorithm, error) {
 	name, variant, _ := strings.Cut(tok, "@")
 	alg, err := ParseAlgorithm(name)
 	if err != nil || variant == "" {
 		return alg, err
 	}
-	modeStr, batchStr, hasBatch := strings.Cut(variant, "+b")
-	mode, err := ParseClockMode(modeStr)
+	mode, err := ParseClockMode(variant)
 	if err != nil {
 		return alg, err
 	}
-	batch := 0
-	if hasBatch {
-		if _, err := fmt.Sscanf(batchStr, "%d", &batch); err != nil {
-			return alg, fmt.Errorf("bad batch suffix %q: %v", variant, err)
-		}
-	}
-	setExploreVariant(mode, batch)
+	setExploreClock(mode)
 	return alg, nil
 }
 
@@ -84,7 +70,7 @@ func mkExploreSTM(alg Algorithm) *STM {
 	return MustNew(Config{
 		Algorithm: alg, HeapWords: 1 << 12, OrecCount: 1 << 8,
 		MaxThreads: 8, MaxAttempts: -1,
-		Clock: exploreClock, OrderBatch: exploreBatch,
+		Clock: exploreClock,
 	})
 }
 
@@ -362,30 +348,17 @@ func TestSchedReplay(t *testing.T) {
 }
 
 // TestExploreClockModes runs the rmw and priv corpora over the deferred
-// clock modes and the Ord commit batcher. This is the interleaving-level
-// vetting of the new commit paths: under GV5/local the clock no longer
-// announces commits, so the doomed-transaction polling rides the composite
-// commit signal — any schedule where that signal misses a commit shows up
-// here as a non-serializable history or a torn privatized read. The batcher
-// variant additionally exercises leader/follower hand-offs at the
-// ticket/combine/wait yield point.
+// clock modes. This is the interleaving-level vetting of the new commit
+// paths: under GV5/local the clock no longer announces commits, so the
+// doomed-transaction polling rides the composite commit signal — any
+// schedule where that signal misses a commit shows up here as a
+// non-serializable history or a torn privatized read.
 func TestExploreClockModes(t *testing.T) {
 	const runs = 8
-	variants := []struct {
-		mode  ClockMode
-		batch int
-	}{
-		{ClockGV5, 0},
-		{ClockLocal, 0},
-		{ClockGV5, 4},
-	}
 	algos := []Algorithm{Ord, Val, TL2, PVRHybrid}
-	for _, v := range variants {
+	for _, mode := range []ClockMode{ClockGV5, ClockLocal} {
 		for _, alg := range algos {
-			if v.batch > 0 && alg != Ord {
-				continue // the batcher only exists on the ticket-based Ord
-			}
-			restore := setExploreVariant(v.mode, v.batch)
+			restore := setExploreClock(mode)
 			name := fmt.Sprintf("%v%s", alg, exploreVariantTag())
 			t.Run(name, func(t *testing.T) {
 				res, n := sched.ExplorePCT(sched.Config{Seed: 1, Horizon: 256},

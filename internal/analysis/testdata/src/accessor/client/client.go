@@ -32,7 +32,7 @@ func Suppressed(o *orec.Orec) uint64 {
 	return o.Wts
 }
 
-// GoodHandle exercises the pointer-handle record of the SoA-capable table:
+// GoodHandle exercises a pointer-handle orec record (orec.Handle):
 // method calls through a *atomic.Uint64 field are the accessor, exactly as
 // with an embedded atomic word.
 func GoodHandle(h *orec.Handle) uint64 {

@@ -17,10 +17,10 @@ func (o *Orec) WTS() uint64 { return o.Wts }
 // SetWTS is the mutating accessor.
 func (o *Orec) SetWTS(v uint64) { o.Wts = v }
 
-// Handle mimics the pointer-handle record of the layout-polymorphic table
-// (structure-of-arrays support): the atomic words are reached through
-// *atomic.Uint64 fields pointing into layout-dependent backing arrays, and
-// idx is a plain field with an accessor.
+// Handle is a pointer-handle orec record: the atomic words are reached
+// through *atomic.Uint64 fields pointing into separate backing arrays, and
+// idx is a plain field with an accessor. The rule must see through the
+// pointer indirection.
 type Handle struct {
 	Owner *atomic.Uint64
 	Vis   *atomic.Uint64

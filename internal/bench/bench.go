@@ -198,14 +198,10 @@ type RunConfig struct {
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
-	// OrecLayout selects the orec-table memory layout (ablations).
-	OrecLayout stm.OrecLayout
 	// DisableHintCache turns off the thread-local hint cache (ablations).
 	DisableHintCache bool
 	// Clock selects the version-clock scheme (gv1/gv5/local).
 	Clock stm.ClockMode
-	// OrderBatch enables the Ord flat-combining commit batcher (0 = off).
-	OrderBatch int
 	// Free selects the node-recycling policy (default FreeReclaim).
 	Free FreePolicy
 	// DisableSandbox turns off validate-before-dangerous-use checkpoints
@@ -234,13 +230,8 @@ type Measurement struct {
 	// was run more than once (runCell); WriteJSON derives the reported
 	// standard deviation from it.
 	RepThroughputs []float64
-	// Layout is the orec-table layout label ("aos"/"soa"); empty means
-	// the default.
-	Layout string
 	// Clock is the version-clock scheme label ("gv1"/"gv5"/"local").
 	Clock string
-	// OrderBatch is the Ord commit-batcher bound the cell ran with (0 = off).
-	OrderBatch int
 	// PairDeltas holds the per-pair throughput deltas (percent, this cell
 	// vs its paired baseline) when the cell was measured by RunPaired;
 	// WriteJSON reports their median.
@@ -302,10 +293,8 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		DisableSnapshotExtension: rc.DisableExtension,
 		ContentionManager:        rc.CM,
 		MaxAttempts:              rc.MaxAttempts,
-		OrecLayout:               rc.OrecLayout,
 		DisableHintCache:         rc.DisableHintCache,
 		Clock:                    rc.Clock,
-		OrderBatch:               rc.OrderBatch,
 		DisableSandboxChecks:     rc.DisableSandbox,
 	})
 	if err != nil {
@@ -381,9 +370,7 @@ func Run(spec Spec, rc RunConfig) (*Measurement, error) {
 		Threads:         rc.Threads,
 		Mix:             rc.Mix,
 		Elapsed:         elapsed,
-		Layout:          rc.OrecLayout.String(),
 		Clock:           rc.Clock.String(),
-		OrderBatch:      rc.OrderBatch,
 		ZipfTheta:       rc.ZipfTheta,
 		ReclaimCollects: s.ReclaimStats().Collects,
 		Exhausted:       exhausted.Load(),

@@ -14,26 +14,21 @@ import (
 
 // ClockVariant is one candidate configuration of the sweep.
 type ClockVariant struct {
-	Algorithm  stm.Algorithm
-	Clock      stm.ClockMode
-	OrderBatch int
+	Algorithm stm.Algorithm
+	Clock     stm.ClockMode
 }
 
-// Label renders the variant the way Compare does ("Ord@gv5", "Ord@gv5+b8").
+// Label renders the variant the way Compare does ("Ord@gv5").
 func (v ClockVariant) Label() string {
 	l := v.Algorithm.String()
 	if v.Clock != stm.ClockGV1 {
 		l += "@" + v.Clock.String()
 	}
-	if v.OrderBatch > 0 {
-		l += fmt.Sprintf("+b%d", v.OrderBatch)
-	}
 	return l
 }
 
 // DefaultClockVariants is the committed sweep: both deferred modes on each
-// redo-log engine family (TL2 baseline, ordering, validation, hybrid), plus
-// the Ord commit batcher alone and combined with GV5.
+// redo-log engine family (TL2 baseline, ordering, validation, hybrid).
 func DefaultClockVariants() []ClockVariant {
 	var vs []ClockVariant
 	for _, alg := range []stm.Algorithm{stm.TL2, stm.Ord, stm.Val, stm.PVRHybrid} {
@@ -42,10 +37,6 @@ func DefaultClockVariants() []ClockVariant {
 			ClockVariant{Algorithm: alg, Clock: stm.ClockLocal},
 		)
 	}
-	vs = append(vs,
-		ClockVariant{Algorithm: stm.Ord, Clock: stm.ClockGV1, OrderBatch: 8},
-		ClockVariant{Algorithm: stm.Ord, Clock: stm.ClockGV5, OrderBatch: 8},
-	)
 	return vs
 }
 
@@ -94,14 +85,12 @@ func RunClockSweep(w io.Writer, hc HarnessConfig, variants []ClockVariant, pairs
 				Algorithm: v.Algorithm, Threads: th, Mix: mix,
 				TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
 				Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
-				CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-				OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
+				CM: hc.CM, MaxAttempts: hc.MaxAttempts, DisableHintCache: hc.DisableHintCache,
 				Free: hc.Free, DisableSandbox: hc.DisableSandbox,
 			}
 			rcCand := rcBase
 			if !aa {
 				rcCand.Clock = v.Clock
-				rcCand.OrderBatch = v.OrderBatch
 			}
 			pr, err := RunPaired(spec, rcBase, rcCand, pairs)
 			if err != nil {

@@ -113,14 +113,10 @@ type HarnessConfig struct {
 	// MaxAttempts is the abort budget before serialized-irrevocable
 	// escalation (0 = default, negative disables).
 	MaxAttempts int
-	// OrecLayout selects the orec-table memory layout for every cell.
-	OrecLayout stm.OrecLayout
 	// DisableHintCache turns off the thread-local hint cache for every cell.
 	DisableHintCache bool
 	// Clock selects the version-clock scheme for every cell.
 	Clock stm.ClockMode
-	// OrderBatch enables the Ord flat-combining commit batcher (0 = off).
-	OrderBatch int
 	// Free selects the node-recycling policy for every cell (default
 	// FreeReclaim).
 	Free FreePolicy
@@ -206,8 +202,7 @@ func runThroughput(w io.Writer, fig Figure, hc HarnessConfig) ([]*Measurement, e
 				TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
 				Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
 				CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-				OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
-				Clock: hc.Clock, OrderBatch: hc.OrderBatch,
+				DisableHintCache: hc.DisableHintCache, Clock: hc.Clock,
 				Free: hc.Free, DisableSandbox: hc.DisableSandbox,
 				ZipfTheta: hc.ZipfTheta,
 			}, hc.Reps)
@@ -245,8 +240,7 @@ func runFenceStats(w io.Writer, fig Figure, hc HarnessConfig) ([]*Measurement, e
 					TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
 					Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
 					CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-					OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
-					Clock: hc.Clock, OrderBatch: hc.OrderBatch,
+					DisableHintCache: hc.DisableHintCache, Clock: hc.Clock,
 					Free: hc.Free, DisableSandbox: hc.DisableSandbox,
 					ZipfTheta: hc.ZipfTheta,
 				}, hc.Reps)
@@ -306,8 +300,7 @@ func runOverhead(w io.Writer, hc HarnessConfig) ([]*Measurement, error) {
 				TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
 				Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
 				CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-				OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
-				Clock: hc.Clock, OrderBatch: hc.OrderBatch,
+				DisableHintCache: hc.DisableHintCache, Clock: hc.Clock,
 				Free: hc.Free, DisableSandbox: hc.DisableSandbox,
 				ZipfTheta: hc.ZipfTheta,
 			}, hc.Reps)

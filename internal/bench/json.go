@@ -19,15 +19,9 @@ type jsonMeasurement struct {
 	Algorithm string `json:"algorithm"`
 	Threads   int    `json:"threads"`
 	Mix       string `json:"mix"`
-	// OrecLayout is the orec-table layout the cell ran under; empty and
-	// "aos" both mean the default array-of-structures layout (older
-	// baseline files predate the field).
-	OrecLayout string `json:"orec_layout,omitempty"`
 	// Clock is the version-clock scheme; empty and "gv1" both mean the
 	// default CAS-per-commit global clock (older files predate the field).
 	Clock string `json:"clock,omitempty"`
-	// OrderBatch is the Ord flat-combining bound the cell ran with (0 = off).
-	OrderBatch int `json:"order_batch,omitempty"`
 	// ZipfTheta is the key-distribution skew the cell ran with (0 = uniform,
 	// the default for all figures predating -zipf).
 	ZipfTheta  float64 `json:"zipf_theta,omitempty"`
@@ -53,7 +47,6 @@ type jsonMeasurement struct {
 	// deferred clock modes exist to eliminate (0 under gv5/local).
 	ClockTicks    uint64 `json:"clock_ticks,omitempty"`
 	ClockAdvances uint64 `json:"clock_advances,omitempty"`
-	Combined      uint64 `json:"combined,omitempty"`
 	// ReclaimCollects counts epoch-collection passes; 0 when the cell ran
 	// without the reclaimer (FreePool/FreeLeak, or older baseline files).
 	ReclaimCollects uint64 `json:"reclaim_collects,omitempty"`
@@ -111,21 +104,13 @@ type jsonFile struct {
 }
 
 // cellKey identifies a measurement across baseline and candidate files.
-// The orec layout participates only when it differs from the default, so
+// The clock scheme participates only when it differs from the default, so
 // baseline files written before the field existed still match default-
-// layout candidate cells.
+// clock candidate cells.
 func (jm *jsonMeasurement) cellKey() string {
 	k := fmt.Sprintf("%s|%s|%s|%d|%s", jm.Fig, jm.Workload, jm.Algorithm, jm.Threads, jm.Mix)
-	if jm.OrecLayout != "" && jm.OrecLayout != "aos" {
-		k += "|" + jm.OrecLayout
-	}
-	// The clock scheme and batcher bound participate the same way: only
-	// when non-default, so older baselines keep matching.
 	if jm.Clock != "" && jm.Clock != "gv1" {
 		k += "|" + jm.Clock
-	}
-	if jm.OrderBatch > 0 {
-		k += fmt.Sprintf("|b%d", jm.OrderBatch)
 	}
 	// Key skew distinguishes cells the same way: uniform (the historic
 	// default) adds nothing, so old baselines keep matching.
@@ -180,9 +165,7 @@ func WriteJSONReport(w io.Writer, label string, ms []*Measurement, micro []Micro
 			Algorithm:             m.Algorithm,
 			Threads:               m.Threads,
 			Mix:                   m.Mix.String(),
-			OrecLayout:            m.Layout,
 			Clock:                 clk,
-			OrderBatch:            m.OrderBatch,
 			Ops:                   m.Ops,
 			Seconds:               m.Elapsed.Seconds(),
 			Throughput:            m.Throughput,
@@ -197,7 +180,6 @@ func WriteJSONReport(w io.Writer, label string, ms []*Measurement, micro []Micro
 			Stalls:                m.Stats.FenceStalls,
 			ClockTicks:            m.Stats.ClockTicks,
 			ClockAdvances:         m.Stats.ClockAdvances,
-			Combined:              m.Stats.Combined,
 			ReclaimCollects:       m.ReclaimCollects,
 			SandboxValidations:    m.Stats.SandboxValidations,
 			SemanticSkips:         m.Stats.SemanticSkips,
@@ -260,8 +242,9 @@ func ReadJSON(path string) (label string, cells []jsonMeasurement, err error) {
 }
 
 // Compare prints a per-cell throughput delta table between two WriteJSON
-// documents, matching cells by (fig, workload, algorithm, threads, mix,
-// non-default orec layout) and microbenchmarks by name. It returns the
+// documents, matching cells by cellKey (fig, workload, algorithm, threads,
+// mix, and any non-default clock, skew or connection count) and
+// microbenchmarks by name. It returns the
 // worst (most negative) percentage change over all matched cells and
 // micros; for micros the delta is expressed in throughput terms
 // (old ns/op vs new ns/op), so slower is negative, same as cells.
@@ -308,18 +291,12 @@ func Compare(w io.Writer, oldPath, newPath string) (worstPct float64, err error)
 			pct = 100 * (nc.Throughput - oc.Throughput) / oc.Throughput
 		}
 		note(pct)
-		layout := nc.Algorithm
-		if nc.OrecLayout != "" && nc.OrecLayout != "aos" {
-			layout += "/" + nc.OrecLayout
-		}
+		label := nc.Algorithm
 		if nc.Clock != "" && nc.Clock != "gv1" {
-			layout += "@" + nc.Clock
-		}
-		if nc.OrderBatch > 0 {
-			layout += fmt.Sprintf("+b%d", nc.OrderBatch)
+			label += "@" + nc.Clock
 		}
 		fmt.Fprintf(w, "%-4s %-22s %-14s %7d %9s  %12.0f %12.0f %+7.1f%%\n",
-			nc.Fig, nc.Workload, layout, nc.Threads, nc.Mix,
+			nc.Fig, nc.Workload, label, nc.Threads, nc.Mix,
 			oc.Throughput, nc.Throughput, pct)
 		if nc.SemanticSkips > 0 || oc.SemanticSkips > 0 {
 			fmt.Fprintf(w, "     · semantic skips %d -> %d, abstract-lock conflicts %d -> %d\n",

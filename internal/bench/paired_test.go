@@ -72,7 +72,7 @@ func TestRunClockSweepSmoke(t *testing.T) {
 	hc := HarnessConfig{Threads: []int{2}, TxnsPerThread: 100, Scale: 8}
 	variants := []ClockVariant{
 		{Algorithm: stm.Ord, Clock: stm.ClockGV5},
-		{Algorithm: stm.Ord, Clock: stm.ClockGV5, OrderBatch: 4},
+		{Algorithm: stm.Ord, Clock: stm.ClockLocal},
 	}
 	base, cand, err := RunClockSweep(io.Discard, hc, variants, 2, false)
 	if err != nil {
@@ -85,18 +85,18 @@ func TestRunClockSweepSmoke(t *testing.T) {
 	if len(cand) != 2 {
 		t.Fatalf("got %d candidate cells, want 2", len(cand))
 	}
-	for _, m := range cand {
+	for i, m := range cand {
 		if m.Fig != "clk" {
 			t.Errorf("candidate fig = %q, want clk", m.Fig)
 		}
-		if m.Clock != "gv5" {
-			t.Errorf("candidate clock = %q, want gv5", m.Clock)
+		if want := variants[i].Clock.String(); m.Clock != want {
+			t.Errorf("candidate clock = %q, want %q", m.Clock, want)
 		}
 		if len(m.PairDeltas) != 2 {
 			t.Errorf("candidate carries %d pair deltas, want 2", len(m.PairDeltas))
 		}
 	}
-	if base[0].Clock != "gv1" || base[0].OrderBatch != 0 {
-		t.Errorf("baseline cell = clock %q batch %d, want gv1/0", base[0].Clock, base[0].OrderBatch)
+	if base[0].Clock != "gv1" {
+		t.Errorf("baseline cell clock = %q, want gv1", base[0].Clock)
 	}
 }

@@ -8,10 +8,9 @@ import (
 	"time"
 )
 
-// TestJSONStddevRunsAndLayout checks the PR 4 report fields: per-cell
-// standard deviation and run count derived from RepThroughputs, and the
-// orec-layout label.
-func TestJSONStddevRunsAndLayout(t *testing.T) {
+// TestJSONStddevRuns checks the per-cell standard deviation and run count
+// derived from RepThroughputs.
+func TestJSONStddevRuns(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "m.json")
 	ms := []*Measurement{{
@@ -19,13 +18,12 @@ func TestJSONStddevRunsAndLayout(t *testing.T) {
 		Threads: 2, Mix: ReadMostly, Ops: 300,
 		Elapsed: time.Second, Throughput: 100,
 		RepThroughputs: []float64{90, 100, 110},
-		Layout:         "soa",
 	}}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(f, "layout test", ms); err != nil {
+	if err := WriteJSON(f, "stddev test", ms); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -44,27 +42,24 @@ func TestJSONStddevRunsAndLayout(t *testing.T) {
 	if c.Stddev < 9.9 || c.Stddev > 10.1 { // sample stddev of {90,100,110} = 10
 		t.Errorf("stddev = %.3f, want 10", c.Stddev)
 	}
-	if c.OrecLayout != "soa" {
-		t.Errorf("orec_layout = %q, want soa", c.OrecLayout)
-	}
 }
 
-// TestCompareLayoutKeys: cells measured under a non-default layout must not
-// be matched against default-layout baseline cells — an SoA ablation run
-// compared to an AoS baseline should report zero matched cells rather than
-// a bogus delta. "aos" and "" are the same key so old baselines predating
-// the field still match default runs.
-func TestCompareLayoutKeys(t *testing.T) {
+// TestCompareClockKeys: cells measured under a deferred clock must not be
+// matched against default-clock baseline cells — a gv5 run compared to a
+// gv1 baseline should report zero matched cells rather than a bogus delta.
+// "gv1" and "" are the same key so old baselines predating the field still
+// match default runs.
+func TestCompareClockKeys(t *testing.T) {
 	a := jsonMeasurement{Fig: "3a", Workload: "w", Algorithm: "x", Threads: 1, Mix: "10/10/80"}
 	b := a
-	b.OrecLayout = "aos"
+	b.Clock = "gv1"
 	c := a
-	c.OrecLayout = "soa"
+	c.Clock = "gv5"
 	if a.cellKey() != b.cellKey() {
-		t.Error("empty and aos layouts should share a cell key")
+		t.Error("empty and gv1 clocks should share a cell key")
 	}
 	if a.cellKey() == c.cellKey() {
-		t.Error("soa cells must not match default-layout cells")
+		t.Error("gv5 cells must not match default-clock cells")
 	}
 }
 

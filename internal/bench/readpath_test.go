@@ -25,7 +25,7 @@ func BenchmarkMakeVisiblePublish(b *testing.B) {
 // BenchmarkReadPathTraversal is the end-to-end read-barrier canary: a
 // single-thread Fig. 3g long-list traversal on an engine with no partial
 // visibility, so its cost is orec lookup + consistent read + read-set
-// logging and nothing else. Any extra load or branch on the orec handle
+// logging and nothing else. Any extra load or branch on the orec lookup
 // path shows up here directly.
 func BenchmarkReadPathTraversal(b *testing.B) {
 	spec := MultiList(64, 128)

@@ -46,8 +46,7 @@ func RunReclaimSweep(w io.Writer, hc HarnessConfig, algos []stm.Algorithm, pairs
 				TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
 				Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
 				CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-				OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
-				Clock: hc.Clock, OrderBatch: hc.OrderBatch,
+				DisableHintCache: hc.DisableHintCache, Clock: hc.Clock,
 				Free: FreePool, DisableSandbox: hc.DisableSandbox,
 			}
 			rcCand := rcBase

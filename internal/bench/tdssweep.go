@@ -54,8 +54,7 @@ func RunTdsSweep(w io.Writer, hc HarnessConfig, algos []stm.Algorithm, pairs int
 				TxnsPerThread: hc.TxnsPerThread, Duration: hc.Duration, Seed: hc.Seed,
 				Tracker: hc.Tracker, DisableExtension: hc.DisableExtension,
 				CM: hc.CM, MaxAttempts: hc.MaxAttempts,
-				OrecLayout: hc.OrecLayout, DisableHintCache: hc.DisableHintCache,
-				Clock: hc.Clock, OrderBatch: hc.OrderBatch,
+				DisableHintCache: hc.DisableHintCache, Clock: hc.Clock,
 				Free: hc.Free, DisableSandbox: hc.DisableSandbox,
 				ZipfTheta: hc.ZipfTheta,
 			}

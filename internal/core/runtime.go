@@ -31,19 +31,6 @@ const DefaultMaxGrace = 256
 // switches to partially visible reads (§IV: 16).
 const DefaultHybridThreshold = 16
 
-// OrecLayout re-exports the orec-table memory layout selector
-// (Options.OrecLayout).
-type OrecLayout = orec.Layout
-
-// The orec-table layouts.
-const (
-	OrecLayoutAoS = orec.LayoutAoS
-	OrecLayoutSoA = orec.LayoutSoA
-)
-
-// ParseOrecLayout maps a flag spelling ("aos", "soa") back to its layout.
-func ParseOrecLayout(s string) (OrecLayout, error) { return orec.ParseLayout(s) }
-
 // Options configures a Runtime.
 type Options struct {
 	HeapWords  int // capacity of the simulated heap
@@ -60,20 +47,12 @@ type Options struct {
 	// ClockLocal merges a per-thread clock at commit time. See
 	// internal/clock and CORRECTNESS.md §13.
 	Clock ClockMode
-	// OrderBatch enables the Ord engine's flat-combining commit batcher:
-	// the committer currently served by the ticket lock performs up to
-	// OrderBatch successors' write-backs under one ticket hold. 0 disables
-	// combining; only Ord's ticket variant consults it.
-	OrderBatch int
 
 	// Tracker selects the incomplete-transaction tracker. The default,
 	// TrackerSlot, is the O(1) cached-watermark slot array; TrackerList
 	// restores the paper's §II-C spin-locked central list (ablations);
 	// TrackerScan is the registry-scanning variant.
 	Tracker TrackerKind
-	// ScanTracker is the deprecated boolean form of Tracker: when set (and
-	// Tracker is left at its default) it selects TrackerScan.
-	ScanTracker bool
 	// DisableExtension turns off snapshot extension: redo-log transactions
 	// then abort on any read newer than their begin timestamp instead of
 	// attempting a timestamp extension (the pre-optimization behaviour,
@@ -87,11 +66,6 @@ type Options struct {
 	// GraceStrategy selects the §III-A adaptation family (default:
 	// exponential, the paper's choice).
 	GraceStrategy GraceStrategy
-	// OrecLayout selects the orec table's memory layout: OrecLayoutAoS
-	// (default; one padded line per record) or OrecLayoutSoA (parallel
-	// padded columns, separating writer owner-scan traffic from reader
-	// hint traffic).
-	OrecLayout OrecLayout
 	// DisableHintCache turns off the thread-local orec hint cache, making
 	// every MakeVisible re-run the full §II-E protocol (ablations and the
 	// cache-equivalence property test).
@@ -145,9 +119,6 @@ func (o *Options) fill() {
 	if o.HybridThreshold == 0 {
 		o.HybridThreshold = DefaultHybridThreshold
 	}
-	if o.ScanTracker && o.Tracker == TrackerSlot {
-		o.Tracker = TrackerScan
-	}
 	// The slot tracker's cached watermark packs the holder index next to
 	// the timestamp; configurations beyond its capacity (well past any
 	// practical thread count) degrade to the registry scan.
@@ -169,9 +140,6 @@ type Runtime struct {
 
 	// ClockMode is the configured version-clock scheme (clockpath.go).
 	ClockMode ClockMode
-	// Combine is Ord's flat-combining commit batcher, non-nil when
-	// Options.OrderBatch > 0.
-	Combine *ticket.Combiner
 
 	// Reclaim is the epoch-based safe-reclamation subsystem: extents
 	// retired through Thread.Retire are quarantined until the oldest-begin
@@ -225,7 +193,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		Heap:             heap.New(opts.HeapWords),
-		Orecs:            orec.NewTableLayout(opts.OrecCount, opts.BlockWords, opts.OrecLayout),
+		Orecs:            orec.NewTable(opts.OrecCount, opts.BlockWords),
 		OrderQ:           ticket.NewQueueLock(),
 		ClockMode:        opts.Clock,
 		MaxGrace:         opts.MaxGrace,
@@ -261,9 +229,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 			CollectEvery: opts.ReclaimCollectEvery,
 			Poison:       opts.ReclaimPoison,
 		})
-	if opts.OrderBatch > 0 {
-		rt.Combine = ticket.NewCombiner(opts.MaxThreads, opts.OrderBatch)
-	}
 	// Start time at 1 so that a zeroed vis word (rts = 0) can never read
 	// as a hint covering a live transaction: every begin timestamp is ≥ 1.
 	rt.Clock.Tick()

@@ -123,19 +123,15 @@ func TestTrackerLowerBoundUnderChurn(t *testing.T) {
 func TestRuntimeSelectsTracker(t *testing.T) {
 	// NewRuntime wraps every tracker in the yield-point decorator;
 	// UnwrapTracker exposes the selected concrete kind.
-	rt, err := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2, ScanTracker: true})
+	rt, err := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := rt.Active.(yieldTracker); !ok {
 		t.Errorf("runtime tracker not yield-decorated: %T", rt.Active)
 	}
-	if _, ok := UnwrapTracker(rt.Active).(*ScanTracker); !ok {
-		t.Errorf("deprecated ScanTracker option ignored: %T", UnwrapTracker(rt.Active))
-	}
-	rt2, _ := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2})
-	if _, ok := UnwrapTracker(rt2.Active).(*SlotTracker); !ok {
-		t.Errorf("default tracker should be the slot array: %T", UnwrapTracker(rt2.Active))
+	if _, ok := UnwrapTracker(rt.Active).(*SlotTracker); !ok {
+		t.Errorf("default tracker should be the slot array: %T", UnwrapTracker(rt.Active))
 	}
 	rt3, _ := NewRuntime(Options{HeapWords: 64, OrecCount: 16, MaxThreads: 2, Tracker: TrackerList})
 	if _, ok := UnwrapTracker(rt3.Active).(*ListTracker); !ok {

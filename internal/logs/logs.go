@@ -30,7 +30,7 @@ type ReadEntry struct {
 // of *distinct* blocks read rather than the number of loads.
 //
 // The index is a shared epoch-stamped filter (filter.go) keyed by the
-// orec's table slot (Orec.Index). Keys and orec handles are in bijection
+// orec's table slot (Orec.Index). Keys and orec records are in bijection
 // (one table per runtime), so matching on the entry's orec pointer is
 // exact.
 type ReadSet struct {

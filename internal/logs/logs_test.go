@@ -8,7 +8,7 @@ import (
 	"privstm/internal/orec"
 )
 
-// testOrecs returns n distinct orec handles backed by one table, so each
+// testOrecs returns n distinct orecs backed by one table, so each
 // has a unique Index — the key the ReadSet and PubLog filters use.
 func testOrecs(n int) []*orec.Orec {
 	tab := orec.NewTable(n, 1)

@@ -81,9 +81,8 @@ func (e *Engine) SemanticCommitCapable() {}
 // for their turn before passing the ticket on, preserving the serving
 // sequence. Abstract locks are acquired before the ticket (a busy stripe
 // aborts without entering the serving sequence) and released by
-// SemPostCommit before the write-back — whether this thread or a
-// flat-combining leader performs it — so stripe bumps always precede data
-// visibility.
+// SemPostCommit before the write-back, so stripe bumps always precede
+// data visibility.
 func (e *Engine) Commit(t *core.Thread) bool {
 	rt := e.rt
 	if !t.Wrote {
@@ -120,23 +119,6 @@ func (e *Engine) Commit(t *core.Thread) bool {
 	}
 	wts := t.CommitTS()
 	t.SemPostCommit()
-	if c := rt.Combine; c != nil {
-		// Flat-combining path (Config.OrderBatch): publish the validated
-		// commit and either have the current leader perform it, or — once
-		// served — lead and drain a batch of successors ourselves.
-		res := c.Commit(&rt.Order, rt.Heap, t.ID, ticket, wts, &t.Redo, &t.Acq)
-		if res.Waited {
-			t.Stats.OrderWaits++
-		}
-		if res.ByLeader {
-			t.Stats.Combined++
-		} else if res.Followers > 0 {
-			t.Stats.CombineLeads++
-		}
-		t.PublishInactive()
-		t.Stats.WriterCommits++
-		return true
-	}
 	t.Redo.WriteBack(rt.Heap)
 	if !rt.Order.Served(ticket) {
 		t.Stats.OrderWaits++

@@ -1,163 +1,49 @@
 package orec
 
 import (
-	"fmt"
-	"sync/atomic"
 	"unsafe"
 
 	"privstm/internal/heap"
 )
-
-// Layout selects the memory layout of a Table's metadata words.
-//
-// LayoutAoS (the default) keeps all four words of one record together on
-// one padded 64-byte cache line: records never false-share with each
-// other, but a committing writer's owner-word scan drags the co-located
-// reader-hint (vis) words through the coherence fabric, and every reader
-// hint store dirties the line the next owner check needs.
-//
-// LayoutSoA splits the records into four parallel column arrays — owner,
-// vis, grace, curr_reader — each element padded to its own cache line.
-// Writer commit scans then touch only owner lines and reader hint traffic
-// only vis lines, eliminating the writer/reader false sharing at the cost
-// of 4x the metadata footprint (256 bytes per record instead of 64).
-type Layout int
-
-const (
-	// LayoutAoS is the array-of-structures layout: one padded cache line
-	// per record holding all four words.
-	LayoutAoS Layout = iota
-	// LayoutSoA is the structure-of-arrays layout: four parallel padded
-	// columns, one per metadata word.
-	LayoutSoA
-)
-
-// String returns the flag spelling ("aos", "soa").
-func (l Layout) String() string {
-	switch l {
-	case LayoutSoA:
-		return "soa"
-	default:
-		return "aos"
-	}
-}
-
-// ParseLayout maps a flag spelling back to its Layout.
-func ParseLayout(s string) (Layout, error) {
-	switch s {
-	case "aos", "":
-		return LayoutAoS, nil
-	case "soa":
-		return LayoutSoA, nil
-	}
-	return 0, fmt.Errorf("orec: unknown layout %q (want aos or soa)", s)
-}
-
-// aosCell is one record's worth of metadata in the AoS layout: the four
-// words and the record's handle together on one 64-byte line, with the
-// handle exactly HandleOff bytes after the owner word as the accessors
-// require. Embedding the handle in what would otherwise be padding means
-// For(addr) → handle → word touches exactly one cache line per record,
-// matching a plain embedded-atomics struct.
-type aosCell struct {
-	owner            atomic.Uint64
-	h                Orec // at owner+8 = HandleOff
-	vis, grace, curr atomic.Uint64
-	_                [2]uint64
-}
-
-// soaWord is one element of a SoA column, padded to a full 64-byte line so
-// neighboring records in the same column do not false-share either. Only
-// the owner column's h is used: the record's handle lives HandleOff bytes
-// after its owner word, exactly as in AoS, so Owner() stays loadless.
-// Readers therefore read (but never dirty) their record's owner-column
-// line to reach the handle; the vis/grace/curr_reader store traffic the
-// layout exists to isolate still lands on the other columns only.
-type soaWord struct {
-	w atomic.Uint64
-	h Orec // at w+8 = HandleOff
-	_ [5]uint64
-}
 
 // Table maps heap addresses to orecs. Conflict detection happens "at the
 // granularity of small, contiguous, fixed-size blocks of memory" (§II-A):
 // BlockWords consecutive words share one orec, and block numbers are
 // scattered over the table with a Fibonacci multiplicative hash, like the
 // Harris–Fraser hashing the paper builds on.
-//
-// The metadata words live in a layout-dependent backing slab (see Layout).
-// Each layout is a single allocation with every record's handle embedded
-// HandleOff bytes after its owner word, so the handle accessors reach all
-// four columns by offset arithmetic that never leaves the slab.
 type Table struct {
-	n          int
 	mask       uint64
 	blockShift uint
-	layout     Layout
 
-	// base is the start of the backing slab. Both layouts place record
-	// i's handle at base + 64*i + HandleOff (the AoS cell and the SoA
-	// owner-column element are each 64 bytes with the handle HandleOff
-	// bytes in), so At/For are branchless address arithmetic with no
-	// per-layout dispatch on the read hot path.
+	// base is &recs[0], so For is branchless address arithmetic with no
+	// bounds check on the read hot path.
 	base unsafe.Pointer
-
-	// Backing storage, kept to root the slab for the GC. Exactly one is
-	// non-nil, per layout.
-	aos []aosCell
-	soa []soaWord // 4*n elements: owner column, then vis, grace, curr
+	recs []Orec
 }
 
 // NewTable creates a table with at least count orecs (rounded up to a power
 // of two) and the given block size in words (also rounded to a power of
-// two; minimum 1), in the default AoS layout.
+// two; minimum 1).
 func NewTable(count, blockWords int) *Table {
-	return NewTableLayout(count, blockWords, LayoutAoS)
-}
-
-// NewTableLayout is NewTable with an explicit memory layout.
-func NewTableLayout(count, blockWords int, layout Layout) *Table {
 	n := ceilPow2(count)
 	bs := uint(0)
 	for 1<<bs < blockWords {
 		bs++
 	}
 	t := &Table{
-		n:          n,
 		mask:       uint64(n - 1),
 		blockShift: bs,
-		layout:     layout,
+		recs:       make([]Orec, n),
 	}
-	switch layout {
-	case LayoutSoA:
-		// One slab, columns back to back, so the column stride
-		// (64*n bytes) stays within a single allocation. The stride
-		// must fit the handle's 32-bit offset field; 2^26 records is
-		// far beyond any table this runtime sizes.
-		if n > 1<<26 {
-			panic("orec: SoA table too large for 32-bit column stride")
-		}
-		t.soa = make([]soaWord, 4*n)
-		stride := uint32(n) * uint32(unsafe.Sizeof(soaWord{}))
-		for i := 0; i < n; i++ {
-			t.soa[i].h = Orec{a: 0, b: stride, idx: uint32(i)}
-		}
-		t.base = unsafe.Pointer(&t.soa[0])
-	default:
-		t.aos = make([]aosCell, n)
-		for i := range t.aos {
-			t.aos[i].h = Orec{a: 16, b: 8, idx: uint32(i)}
-		}
-		t.base = unsafe.Pointer(&t.aos[0])
+	for i := range t.recs {
+		t.recs[i].idx = uint32(i)
 	}
+	t.base = unsafe.Pointer(&t.recs[0])
 	return t
 }
 
-// Layout returns the table's memory layout.
-func (t *Table) Layout() Layout { return t.layout }
-
 // Len returns the number of orecs.
-func (t *Table) Len() int { return t.n }
+func (t *Table) Len() int { return len(t.recs) }
 
 // BlockWords returns the conflict-detection granularity in words.
 func (t *Table) BlockWords() int { return 1 << t.blockShift }
@@ -172,16 +58,11 @@ func (t *Table) Index(a heap.Addr) int {
 // For returns the orec guarding address a. Index's mask keeps the slot in
 // range, so no bounds check is needed on this hot path.
 func (t *Table) For(a heap.Addr) *Orec {
-	return (*Orec)(unsafe.Add(t.base, t.Index(a)*64+HandleOff))
+	return (*Orec)(unsafe.Add(t.base, uintptr(t.Index(a))*unsafe.Sizeof(Orec{})))
 }
 
 // At returns the orec at slot i.
-func (t *Table) At(i int) *Orec {
-	if uint(i) >= uint(t.n) {
-		panic("orec: table index out of range")
-	}
-	return (*Orec)(unsafe.Add(t.base, i*64+HandleOff))
-}
+func (t *Table) At(i int) *Orec { return &t.recs[i] }
 
 func ceilPow2(n int) int {
 	if n < 1 {

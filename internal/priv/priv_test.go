@@ -117,7 +117,7 @@ func TestPrivatizationSafeWithExtensions(t *testing.T) {
 	for _, alg := range safePlain {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := testCfg(alg, false)
-			cfg.ScanTracker = true
+			cfg.Tracker = stm.TrackerScan
 			cfg.CapFenceAtCommit = true
 			res, err := Run(cfg)
 			if err != nil {
@@ -132,7 +132,7 @@ func TestPrivatizationSafeWithExtensions(t *testing.T) {
 	for _, alg := range safeAtomic {
 		t.Run(alg.String(), func(t *testing.T) {
 			cfg := testCfg(alg, true)
-			cfg.ScanTracker = true
+			cfg.Tracker = stm.TrackerScan
 			cfg.CapFenceAtCommit = true
 			res, err := Run(cfg)
 			if err != nil {
@@ -143,34 +143,6 @@ func TestPrivatizationSafeWithExtensions(t *testing.T) {
 				t.Errorf("privatization violation under %v with extensions: %v", alg, res)
 			}
 		})
-	}
-}
-
-// TestPrivatizationSafeWithSoALayout re-runs the safety assertions under
-// the structure-of-arrays orec layout (with the hint cache at its default,
-// on). The layout moves the metadata words to different cache lines but
-// must not change any protocol outcome, so every safe engine has to stay
-// clean under plain or atomic private access exactly as in the AoS runs.
-func TestPrivatizationSafeWithSoALayout(t *testing.T) {
-	run := func(alg stm.Algorithm, atomicPriv bool) {
-		t.Run(alg.String(), func(t *testing.T) {
-			cfg := testCfg(alg, atomicPriv)
-			cfg.OrecLayout = stm.OrecLayoutSoA
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%v+soa: %v", alg, res)
-			if !res.Clean() {
-				t.Errorf("privatization violation under %v with SoA layout: %v", alg, res)
-			}
-		})
-	}
-	for _, alg := range safePlain {
-		run(alg, false)
-	}
-	for _, alg := range safeAtomic {
-		run(alg, true)
 	}
 }
 

@@ -511,22 +511,17 @@ func (srv *Server) execute(ten *tenant, op byte, body, out []byte) (byte, []byte
 }
 
 // readKeys parses "count, count×group u64s" with the count bounded by
-// maxOpKeys and required to consume the body exactly.
+// maxOpKeys and required to consume the body exactly. The length check
+// comes before the allocation, so a count the body does not back costs
+// nothing.
 func readKeys(r *wireReader, group int) ([]uint64, bool) {
 	n, ok := r.u64()
-	if !ok || n > maxOpKeys {
+	if !ok || n > maxOpKeys || len(r.b) != 8*int(n)*group {
 		return nil, false
 	}
-	vals := make([]uint64, 0, int(n)*group)
-	for i := 0; i < int(n)*group; i++ {
-		v, ok := r.u64()
-		if !ok {
-			return nil, false
-		}
-		vals = append(vals, v)
-	}
-	if !r.empty() {
-		return nil, false
+	vals := make([]uint64, int(n)*group)
+	for i := range vals {
+		vals[i], _ = r.u64()
 	}
 	return vals, true
 }

@@ -119,3 +119,67 @@ func TestReadFrameAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestReadKeysShortBodyAllocatesNothing: a body that claims maxOpKeys keys
+// but carries only its count is rejected before any key buffer exists.
+func TestReadKeysShortBodyAllocatesNothing(t *testing.T) {
+	body := AppendU64(nil, maxOpKeys)
+	for _, group := range []int{1, 2, 3} {
+		allocs := testing.AllocsPerRun(100, func() {
+			r := wireReader{b: body}
+			if _, ok := readKeys(&r, group); ok {
+				t.Fatalf("group %d: short body accepted", group)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("group %d: rejecting a short body allocates %.0f times, want 0", group, allocs)
+		}
+	}
+}
+
+// FuzzReadKeys checks readKeys against a direct decode: it succeeds iff the
+// body is exactly a count n ≤ maxOpKeys followed by n×group words, and then
+// returns exactly those words.
+func FuzzReadKeys(f *testing.F) {
+	words := func(ws ...uint64) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = AppendU64(b, w)
+		}
+		return b
+	}
+	f.Add([]byte{}, uint8(0))
+	f.Add(words(0), uint8(0))
+	f.Add(words(2, 7, 9), uint8(0))
+	f.Add(words(1, 1, 2, 3), uint8(2))
+	f.Add(words(maxOpKeys), uint8(0))
+	f.Add(words(maxOpKeys), uint8(2))
+	f.Add(words(maxOpKeys+1), uint8(0))
+	f.Add(append(words(1, 5), 0), uint8(0))
+	f.Add(words(1, 5)[:15], uint8(0))
+	f.Fuzz(func(t *testing.T, body []byte, g uint8) {
+		group := 1 + int(g%3)
+		r := wireReader{b: body}
+		vals, ok := readKeys(&r, group)
+		want := len(body) >= 8
+		var n uint64
+		if want {
+			n = binary.BigEndian.Uint64(body)
+			want = n <= maxOpKeys && uint64(len(body)) == 8+8*n*uint64(group)
+		}
+		if ok != want {
+			t.Fatalf("readKeys(len %d, group %d) ok = %v, want %v", len(body), group, ok, want)
+		}
+		if !ok {
+			return
+		}
+		if len(vals) != int(n)*group {
+			t.Fatalf("got %d values, want %d", len(vals), int(n)*group)
+		}
+		for i, v := range vals {
+			if w := binary.BigEndian.Uint64(body[8+8*i:]); v != w {
+				t.Fatalf("value %d = %#x, want %#x", i, v, w)
+			}
+		}
+	})
+}

@@ -34,8 +34,6 @@ type Counters struct {
 	FenceStalls           uint64 // stall-watchdog firings inside fences
 	ClockTicks            uint64 // commit-path global-clock RMWs (0 under the deferred clock modes)
 	ClockAdvances         uint64 // deferred-mode future-timestamp publications (reader/fence AdvanceTo)
-	Combined              uint64 // commits whose write-back a flat-combining leader performed
-	CombineLeads          uint64 // combining leads that served ≥1 follower commit
 	SandboxValidations    uint64 // validate-before-dangerous-use checkpoints executed
 	SemanticSkips         uint64 // commuting (delta) updates applied without validation (internal/tds)
 	AbstractLockConflicts uint64 // commit-time abstract-lock acquisitions or validations that failed
@@ -66,8 +64,6 @@ func (c *Counters) Add(o *Counters) {
 	c.FenceStalls += o.FenceStalls
 	c.ClockTicks += o.ClockTicks
 	c.ClockAdvances += o.ClockAdvances
-	c.Combined += o.Combined
-	c.CombineLeads += o.CombineLeads
 	c.SandboxValidations += o.SandboxValidations
 	c.SemanticSkips += o.SemanticSkips
 	c.AbstractLockConflicts += o.AbstractLockConflicts

@@ -36,12 +36,17 @@
 // joiner whose timestamp is already covered would leave the word
 // untouched, and even a version-stamped word can recur (ABA) once another
 // recompute reinstalls the same minimum, letting a stale scan publish a
-// watermark above a live joiner. A scan that misses a *concurrently
-// entering* (fresh-timestamp) transaction is sound for the same reason
-// the registry-scanning tracker is: registration completes before the
-// transaction publishes visibility hints or performs further reads, and
-// the engines revalidate after registering, so only fences that start
-// after registration must see it — and they do.
+// watermark above a live joiner.
+//
+// A fresh Enter is a late joiner too, for the span between its clock
+// sample and its slot store: a recompute whose scan falls in that span
+// can publish a minimum above the sample, and that cache stays valid
+// (its holder is live) after the store. Enter therefore checks after its
+// store, lock-free: recomputes bracket their scan-and-publish with the
+// scans counter (odd while in flight), so either Enter sees one in
+// flight, or the publish is visible to its cache load; in both cases,
+// and only then, it lowers the cache under the writer lock as EnterAt
+// does.
 //
 // Readers never take the lock: the fast path is two loads, and a reader
 // that loses the fast path acquires the lock only to scan-and-publish.
@@ -83,7 +88,11 @@ type Slots struct {
 	// cache is the oldest-begin watermark: (holder+1)<<slotTSBits | ts,
 	// or 0 when no holder is cached (every query then scans).
 	cache atomic.Uint64
-	_     [7]uint64
+	// scans is odd while a recompute is between its scan and its publish
+	// (Enter's lock-free recheck). It shares cache's line: every Enter
+	// loads both, and a recompute writes both.
+	scans atomic.Uint64
+	_     [6]uint64
 	// hi is a high-water mark over entered slot indexes (+1): scans stop
 	// there instead of walking the full capacity.
 	hi atomic.Uint64
@@ -93,11 +102,12 @@ type Slots struct {
 	// publication is not enough. Fast-path readers never touch it.
 	mu spin.Mutex
 	_  [15]uint32
-	// entering counts in-flight EnterAt registrations (slot stored, cache
-	// lowering not yet complete). Only CheckWatermark consults it: inside
-	// that window the cache may legitimately sit above the joiner's begin —
-	// EnterAt's contract covers queries that start after it returns — so
-	// the oracle must not flag the transient.
+	// entering counts in-flight registrations that lower the cache (slot
+	// stored, lowering not yet complete: EnterAt, and Enter's slow path).
+	// Only CheckWatermark consults it: inside that window the cache may
+	// legitimately sit above the joiner's begin — the contract covers
+	// queries that start after the registration returns — so the oracle
+	// must not flag the transient.
 	entering atomic.Int64
 
 	slots []slot
@@ -137,13 +147,28 @@ func (s *Slots) raiseHi(id int) {
 // returns it. Unlike the central list, no lock orders the clock sample
 // against other begins: the tracker does not need sortedness, only that a
 // transaction is visible with a timestamp no later than any datum it reads,
-// which a pre-publication Now() guarantees (the clock is monotonic, so a
-// fresh sample can never undercut a still-cached older holder).
+// which a pre-publication Now() guarantees. A recompute that scanned
+// between the sample and the store may have cached a watermark above it;
+// the recheck after the store finds that case and lowers the cache (see
+// the package comment).
 func (s *Slots) Enter(id int, c *clock.Clock) uint64 {
 	s.raiseHi(id)
 	ts := c.Now()
 	s.slots[id].v.Store(ts<<1 | 1)
+	if s.scans.Load()&1 == 1 || s.cacheAbove(ts) {
+		s.entering.Add(1)
+		s.lower(id, ts)
+		s.entering.Add(-1)
+	}
 	return ts
+}
+
+// cacheAbove reports whether the cache holds a watermark above ts. An
+// empty cache is not above anything: readers then scan.
+func (s *Slots) cacheAbove(ts uint64) bool {
+	c := s.cache.Load()
+	_, cts := unpackCache(c)
+	return c != 0 && cts > ts&slotTSMask
 }
 
 // Leave deregisters slot id: one atomic store. If id was the cached holder

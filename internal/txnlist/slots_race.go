@@ -36,6 +36,12 @@ func (s *Slots) EnterAt(id int, ts uint64) {
 	defer s.entering.Add(-1)
 	s.slots[id].v.Store(ts<<1 | 1)
 	failpoint.Eval(failpoint.SlotsEnterAtLower)
+	s.lower(id, ts)
+}
+
+// lower is the historical optimistic lowering: a CAS loop with no writer
+// lock.
+func (s *Slots) lower(id int, ts uint64) {
 	for {
 		c := s.cache.Load()
 		if c == 0 {

@@ -21,6 +21,11 @@ func (s *Slots) EnterAt(id int, ts uint64) {
 	defer s.entering.Add(-1)
 	s.slots[id].v.Store(ts<<1 | 1)
 	failpoint.Eval(failpoint.SlotsEnterAtLower)
+	s.lower(id, ts)
+}
+
+// lower makes the cache cover slot id, already stored at ts.
+func (s *Slots) lower(id int, ts uint64) {
 	s.mu.Lock()
 	// Holding the writer lock means no recompute is mid-scan: any scan
 	// that publishes after we release will see our slot (stored above).
@@ -34,10 +39,8 @@ func (s *Slots) EnterAt(id int, ts uint64) {
 	//   - above ts: lower it to our slot. Lowering can only delay fences,
 	//     never release one early, so it is safe even if the old value was
 	//     stale.
-	if c := s.cache.Load(); c != 0 {
-		if _, cts := unpackCache(c); cts > ts&slotTSMask {
-			s.cache.Store(packCache(id, ts))
-		}
+	if s.cacheAbove(ts) {
+		s.cache.Store(packCache(id, ts))
 	}
 	s.mu.Unlock()
 }
@@ -55,13 +58,16 @@ func (s *Slots) oldest(skip int) (uint64, bool) {
 		return ts, ok
 	}
 	// Slow path, under the writer lock so no EnterAt can register a low
-	// timestamp between our scan and our publish.
+	// timestamp between our scan and our publish; scans is odd meanwhile
+	// so a fresh Enter can tell our scan may have missed it.
+	s.scans.Add(1)
 	minTS, minID, oTS, oAny := s.scanSlots(skip)
 	var nc uint64
 	if minID >= 0 {
 		nc = packCache(minID, minTS)
 	}
 	s.cache.Store(nc)
+	s.scans.Add(1)
 	s.mu.Unlock()
 	return oTS, oAny
 }

@@ -153,9 +153,6 @@ type Config struct {
 	// TrackerList restores the paper's §II-C spin-locked central list;
 	// TrackerScan is the O(MaxThreads)-query registry scan.
 	Tracker TrackerKind
-	// ScanTracker is the deprecated boolean form of Tracker: when set (and
-	// Tracker is left at its default) it selects TrackerScan.
-	ScanTracker bool
 	// DisableSnapshotExtension turns off timestamp extension on the
 	// redo-log algorithms: a transaction that reads data newer than its
 	// begin time then aborts instead of revalidating and advancing its
@@ -169,13 +166,6 @@ type Config struct {
 	// default GraceExponential is the paper's choice; GraceLinear and
 	// GraceHybrid reproduce the alternatives the authors report trying.
 	GraceStrategy GraceStrategy
-	// OrecLayout selects the orec table's memory layout: OrecLayoutAoS
-	// (default) keeps each record's four metadata words on one padded
-	// cache line; OrecLayoutSoA splits them into four parallel padded
-	// column arrays so a committing writer's owner-word scan stops
-	// false-sharing with concurrent readers' visibility-hint stores (at
-	// 4x the metadata footprint).
-	OrecLayout OrecLayout
 	// Clock selects the version-clock scheme. ClockGV1 (default) CASes the
 	// global clock once per writer commit — the classic TL2 rule, with
 	// unique totally ordered timestamps. ClockGV5 defers: commits stamp
@@ -188,12 +178,6 @@ type Config struct {
 	// assume a monotone global commit order — which New enforces (see
 	// CORRECTNESS.md §13).
 	Clock ClockMode
-	// OrderBatch enables the Ord algorithm's flat-combining commit
-	// batcher: the committer currently served by the ticket lock performs
-	// up to OrderBatch successors' write-backs and releases under one
-	// ticket hold instead of handing the lock through N wakeups. 0
-	// disables; only Ord's ticket variant consults it.
-	OrderBatch int
 	// DisableHintCache turns off the thread-local orec hint cache on the
 	// partially-visible-read engines: every re-read then re-runs the full
 	// §II-E visibility protocol instead of skipping after the first
@@ -296,19 +280,6 @@ var ClockModes = []ClockMode{ClockGV1, ClockGV5, ClockLocal}
 // ClockMode.
 func ParseClockMode(s string) (ClockMode, error) { return core.ParseClockMode(s) }
 
-// OrecLayout re-exports the orec-table memory layout selector.
-type OrecLayout = core.OrecLayout
-
-// The orec-table layouts (Config.OrecLayout).
-const (
-	OrecLayoutAoS = core.OrecLayoutAoS
-	OrecLayoutSoA = core.OrecLayoutSoA
-)
-
-// ParseOrecLayout maps a flag spelling ("aos", "soa") back to its
-// OrecLayout.
-func ParseOrecLayout(s string) (OrecLayout, error) { return core.ParseOrecLayout(s) }
-
 // STM is one transactional memory instance: a heap, its metadata, and an
 // algorithm. Create with New; register worker threads with NewThread.
 type STM struct {
@@ -335,13 +306,10 @@ func New(cfg Config) (*STM, error) {
 		MaxGrace:         cfg.MaxGrace,
 		HybridThreshold:  cfg.HybridThreshold,
 		Clock:            cfg.Clock,
-		OrderBatch:       cfg.OrderBatch,
 		Tracker:          cfg.Tracker,
-		ScanTracker:      cfg.ScanTracker,
 		DisableExtension: cfg.DisableSnapshotExtension,
 		CapFenceAtCommit: cfg.CapFenceAtCommit,
 		GraceStrategy:    cfg.GraceStrategy,
-		OrecLayout:       cfg.OrecLayout,
 		DisableHintCache: cfg.DisableHintCache,
 		CM:               cfg.ContentionManager,
 		MaxAttempts:      cfg.MaxAttempts,
